@@ -17,17 +17,15 @@ Surfaced as ``synthesize(spec, engine="portfolio")`` and
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-import queue as queue_module
-import signal
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Optional, Sequence, Tuple
 
 import repro.obs as obs
-from repro.core.cancel import CancelToken
 from repro.core.library import GateLibrary
 from repro.core.spec import Specification
+from repro.parallel.pool import Message, WorkerPool
 from repro.parallel.tasks import SynthesisTask
 
 __all__ = ["PORTFOLIO_ENGINES", "portfolio_synthesize"]
@@ -43,29 +41,9 @@ _STATUS_RANK = {"realized": 0, "gate_limit": 1, "timeout": 2,
                 "cancelled": 3, "error": 4}
 
 
-def _race_worker(task: SynthesisTask, cancel_event, results, racer_id: int,
-                 forward_events: bool = False):
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent drives shutdown
-    # Drop subscribers inherited over the fork, then forward this
-    # racer's live events through the shared result queue so the
-    # parent sees per-engine deepening progress mid-race.
-    obs.reset_event_bus()
-    if forward_events:
-        def _forward(event):
-            payload = dict(event)
-            payload.setdefault("worker", racer_id)
-            results.put((racer_id, "event", payload))
-
-        obs.subscribe(_forward)
-    token = CancelToken(cancel_event)
-    try:
-        result = task.run(cancel_token=token)
-        results.put((racer_id, "ok", result))
-    except BaseException as exc:  # noqa: BLE001 — must cross the process gap
-        try:
-            results.put((racer_id, "error", repr(exc)))
-        except Exception:
-            pass
+@contextmanager
+def _race_session(token):
+    yield lambda task: task.run(cancel_token=token)
 
 
 def portfolio_synthesize(spec: Specification,
@@ -116,13 +94,12 @@ def portfolio_synthesize(spec: Specification,
     if store is not None:
         store_path = getattr(store, "root", None) or str(store)
 
-    ctx = mp.get_context("fork")
-    cancel_event = ctx.Event()
-    results_queue = ctx.Queue()
-    forward_events = obs.events_enabled()
     start = time.perf_counter()
+    racer_of: Dict[int, int] = {}  # worker id -> index into engines
+    reported: Dict[int, Tuple[str, object]] = {}
+    winner_id: Optional[int] = None
 
-    def spawn(racer_id: int):
+    def launch(pool: WorkerPool, racer_id: int) -> None:
         name = engines[racer_id]
         options = dict(engine_options)
         options.update(per_engine.get(name, {}))
@@ -130,97 +107,53 @@ def portfolio_synthesize(spec: Specification,
                              engine_options=options, max_gates=max_gates,
                              time_limit=time_limit, use_bounds=use_bounds,
                              store_path=store_path, orbit=orbit)
-        proc = ctx.Process(target=_race_worker,
-                           args=(task, cancel_event, results_queue, racer_id,
-                                 forward_events),
-                           daemon=True)
-        proc.start()
-        obs.emit("worker_spawned", worker=racer_id, role="portfolio",
-                 engine=name)
-        return proc
+        worker = pool.spawn(engine=name)
+        racer_of[worker] = racer_id
+        pool.send(worker, task)
+
+    def record(pool: WorkerPool, message: Message) -> None:
+        nonlocal winner_id
+        racer_id = racer_of[message.worker]
+        if message.kind == "died":
+            # A racer that died without reporting (OOM-kill, hard
+            # crash) must not hang the race: score it as an error.
+            reported.setdefault(racer_id, (
+                "error",
+                f"racer {engines[racer_id]} died (exit {message.value})"))
+            return
+        reported[racer_id] = (message.kind, message.value)
+        pool.terminate(message.worker)  # a racer serves one request
+        if (winner_id is None and message.kind == "ok"
+                and message.value.status in _DEFINITIVE):
+            winner_id = racer_id
 
     with obs.span("portfolio", spec=spec.name or "anonymous",
-                  engines=",".join(engines)):
-        procs: Dict[int, object] = {}
-        next_racer = 0
-        while next_racer < concurrency:
-            procs[next_racer] = spawn(next_racer)
-            next_racer += 1
-
-        reported: Dict[int, Tuple[str, object]] = {}
-        winner_id: Optional[int] = None
-        while len(reported) < len(engines):
-            try:
-                racer_id, kind, payload = results_queue.get(timeout=0.05)
-                if kind == "event":
-                    obs.emit_forwarded(payload)
-                    continue
-                reported[racer_id] = (kind, payload)
-                if (winner_id is None and kind == "ok"
-                        and payload.status in _DEFINITIVE):
-                    winner_id = racer_id
-                    cancel_event.set()
-            except queue_module.Empty:
-                pass
-            # A racer that died without reporting (OOM-kill, hard crash)
-            # must not hang the race: score it as an error.
-            for racer_id, proc in list(procs.items()):
-                if racer_id not in reported and not proc.is_alive():
-                    proc.join()
-                    obs.emit("worker_crashed", worker=racer_id,
-                             role="portfolio", engine=engines[racer_id],
-                             exitcode=proc.exitcode)
-                    reported[racer_id] = ("error",
-                                          f"racer {engines[racer_id]} died "
-                                          f"(exit {proc.exitcode})")
-            if winner_id is None and next_racer < len(engines):
-                while (next_racer < len(engines)
-                       and sum(1 for rid, p in procs.items()
-                               if rid not in reported and p.is_alive())
-                       < concurrency):
-                    procs[next_racer] = spawn(next_racer)
-                    next_racer += 1
-            if winner_id is not None:
-                # Grace window for the cancelled losers to report their
-                # partial trajectories; stragglers are terminated.
-                deadline = time.perf_counter() + grace
-                launched = set(procs)
-                while (launched - set(reported)
-                       and time.perf_counter() < deadline):
-                    try:
-                        racer_id, kind, payload = results_queue.get(timeout=0.05)
-                        if kind == "event":
-                            obs.emit_forwarded(payload)
-                            continue
-                        reported[racer_id] = (kind, payload)
-                    except queue_module.Empty:
-                        for racer_id, proc in list(procs.items()):
-                            if racer_id not in reported and not proc.is_alive():
-                                obs.emit("worker_crashed", worker=racer_id,
-                                         role="portfolio",
-                                         engine=engines[racer_id])
-                                reported[racer_id] = ("error", "racer died")
-                for racer_id in launched - set(reported):
-                    procs[racer_id].terminate()
+                  engines=",".join(engines)), \
+            WorkerPool("portfolio", _race_session) as pool:
+        for racer_id in range(concurrency):
+            launch(pool, racer_id)
+        while winner_id is None and len(reported) < len(engines):
+            for message in pool.wait(0.05):
+                record(pool, message)
+            while (winner_id is None and len(racer_of) < len(engines)
+                   and len(racer_of) - len(reported) < concurrency):
+                launch(pool, len(racer_of))
+        if winner_id is not None:
+            pool.cancel()
+            # Grace window for the cancelled losers to report their
+            # partial trajectories; stragglers are terminated.
+            deadline = time.perf_counter() + grace
+            while (len(reported) < len(racer_of)
+                   and time.perf_counter() < deadline):
+                for message in pool.wait(0.05):
+                    record(pool, message)
+            for worker, racer_id in racer_of.items():
+                if racer_id not in reported:
+                    pool.terminate(worker)
                     reported[racer_id] = ("cancelled", None)
-                # Engines never launched lost by walkover.
-                for racer_id in range(next_racer, len(engines)):
-                    reported[racer_id] = ("cancelled", None)
-                break
-        for proc in procs.values():
-            proc.join(timeout=1.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-        # Forward any racer events still sitting in the queue so the
-        # losers' final deepening steps are not silently dropped.
-        while True:
-            try:
-                racer_id, kind, payload = results_queue.get_nowait()
-            except queue_module.Empty:
-                break
-            if kind == "event":
-                obs.emit_forwarded(payload)
+            # Engines never launched lost by walkover.
+            for racer_id in range(len(racer_of), len(engines)):
+                reported[racer_id] = ("cancelled", None)
 
     if winner_id is None:
         # Nobody was definitive (all timed out / errored): pick the

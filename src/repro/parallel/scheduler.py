@@ -1,91 +1,52 @@
 """Batched suite scheduling over a bounded, crash-isolated process pool.
 
 ``run_suite`` fans a list of :class:`~repro.parallel.tasks.SynthesisTask`
-over ``workers`` forked processes.  The pool is hand-rolled rather than
-a :class:`concurrent.futures.ProcessPoolExecutor` because the executor
-declares the *whole pool* broken when any worker dies — here a
-SIGKILLed or crashed worker costs exactly one retry of its task on a
-freshly spawned process (``retried=1`` in the task's report and run
-record) and the rest of the batch is unaffected.
-
-Scheduling is parent-driven: each worker owns a duplex pipe, the parent
-assigns one task at a time to idle workers, so at any instant the
-parent knows precisely which task a dead worker was holding.  Per-task
+over ``workers`` processes of a :class:`~repro.parallel.pool.WorkerPool`.
+The parent assigns one task at a time to idle workers, so it always
+knows which task a dead worker was holding: that task is retried
+exactly once on a freshly spawned worker (``retried=1`` in its report
+and run record) and the rest of the batch is unaffected.  Per-task
 deadlines flow through the engines' cooperative time budgets, with a
 hard wall (``hard_deadline_grace`` beyond the budget) as a backstop for
 a stuck worker.  Ctrl-C drains gracefully: the shared cancel token
-stops every engine's hot loop within milliseconds, partial results are
-collected, and the pool shuts down without orphan processes.
+stops every engine within milliseconds, partial results are collected,
+and the pool shuts down without orphan processes.
 
 Completed tasks merge into the parent's :mod:`repro.obs` state: run
 records (with ``worker_id``/``retried``/``workers``/``cpu_count``
-provenance) are appended to the trace file — in task order, not
-completion order, so parallel and serial traces compare line by line —
-and each worker's metrics are published into the parent registry.
-
-Live telemetry (:mod:`repro.obs.events`): when the parent bus has
-subscribers at pool-creation time, each worker forwards its progress
-events (depth refutations, store hits, ...) over its result pipe *as
-they happen*, and the parent re-dispatches them — so a ``--progress``
-renderer shows per-worker deepening long before the task's run record
-lands.  The scheduler itself emits the pool-lifecycle events
-(``worker_spawned``/``worker_crashed``/``worker_retried``/
-``task_finished``).
+provenance) are appended to the trace file in task order, not
+completion order, so parallel and serial traces compare line by line,
+and each task's metrics are published into the parent registry.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-import signal
 import time
 from collections import deque
-from multiprocessing.connection import wait as connection_wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
-from repro.core.cancel import CancelToken
+from repro.parallel.pool import Message, WorkerPool
 from repro.parallel.tasks import SynthesisTask, default_workers
 
 __all__ = ["SuiteRun", "TaskReport", "run_suite"]
 
 
-def _suite_worker(worker_id: int, conn, cancel_event,
-                  forward_events: bool = False):
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent drives shutdown
-    # The fork copied the parent's event bus *with its subscribers*
-    # (renderers, file appenders) — drop them so worker events reach
-    # the parent exactly once, through the pipe forwarder below.
-    obs.reset_event_bus()
-    if forward_events:
-        def _forward(event):
-            payload = dict(event)
-            payload.setdefault("worker", worker_id)
-            conn.send(("event", payload))
+@contextmanager
+def _suite_session(token):
+    def run(task):
+        # ``task.run`` is looked up per call, so a wrapper installed on
+        # the class before the fork is honoured in the worker.
+        with obs.span("suite.task", label=task.resolved_label()):
+            result = task.run(cancel_token=token)
+        span_tree = (obs.get_tracer().format_tree()
+                     if obs.tracing_enabled() else None)
+        return result, span_tree
 
-        obs.subscribe(_forward)
-    token = CancelToken(cancel_event)
-    while True:
-        message = conn.recv()
-        if message is None:
-            return
-        index, task = message
-        started = time.perf_counter()
-        try:
-            with obs.span("suite.task", label=task.resolved_label(),
-                          worker=worker_id):
-                result = task.run(cancel_token=token)
-            span_tree = (obs.get_tracer().format_tree()
-                         if obs.tracing_enabled() else None)
-            conn.send((index, "done", result, span_tree,
-                       time.perf_counter() - started))
-        except BaseException as exc:  # noqa: BLE001 — report, don't die
-            try:
-                conn.send((index, "error", repr(exc), None,
-                           time.perf_counter() - started))
-            except Exception:
-                return
+    yield run
 
 
 @dataclass
@@ -132,45 +93,6 @@ class SuiteRun:
                 f"{self.runtime:.2f}s{tail}")
 
 
-class _Worker:
-    """Parent-side handle: process, pipe, and the task it holds."""
-
-    def __init__(self, ctx, worker_id: int, cancel_event,
-                 forward_events: bool = False):
-        self.id = worker_id
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self.conn = parent_conn
-        self.proc = ctx.Process(target=_suite_worker,
-                                args=(worker_id, child_conn, cancel_event,
-                                      forward_events),
-                                daemon=True)
-        self.proc.start()
-        child_conn.close()
-        self.task_index: Optional[int] = None
-        self.assigned_at = 0.0
-        obs.emit("worker_spawned", worker=worker_id, role="suite")
-
-    @property
-    def idle(self) -> bool:
-        return self.task_index is None
-
-    def assign(self, index: int, task: SynthesisTask) -> None:
-        self.conn.send((index, task))
-        self.task_index = index
-        self.assigned_at = time.perf_counter()
-
-    def shutdown(self, timeout: float = 2.0) -> None:
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.proc.join(timeout=timeout)
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join()
-        self.conn.close()
-
-
 def run_suite(tasks: Sequence[SynthesisTask],
               workers: Optional[int] = None,
               trace: Optional[str] = None,
@@ -204,30 +126,21 @@ def run_suite(tasks: Sequence[SynthesisTask],
                  for task in tasks]
     pool_size = workers if workers is not None else default_workers()
     pool_size = max(1, min(pool_size, max(1, len(tasks))))
-    ctx = mp.get_context("fork")
-    cancel_event = ctx.Event()
     start = time.perf_counter()
     cpu_count = os.cpu_count() or 1
 
     reports: Dict[int, TaskReport] = {}
     attempts = [0] * len(tasks)
     pending = deque(range(len(tasks)))
-    # Workers forward their live events over the result pipe only when
-    # the parent actually listens; decided once, at fork time.
-    forward_events = obs.events_enabled()
-    pool = [_Worker(ctx, wid, cancel_event, forward_events)
-            for wid in range(pool_size)]
-    next_worker_id = pool_size
+    holding: Dict[int, Tuple[int, float]] = {}  # worker -> (task, assigned at)
+    idle: List[int] = []
     interrupted = False
     merged_metrics: Dict[str, float] = {}
 
     def finish(index: int, report: TaskReport) -> None:
         if index in reports:
-            # Duplicate completion for a task that already reported —
-            # e.g. a crash-retried task whose first attempt's message
-            # was consumed after the liveness scan declared it dead.
-            # Keep the first report; a second one must never publish
-            # its metrics again or emit a second trace record.
+            # A task reports at most once: a second report must never
+            # publish its metrics again or emit a second trace record.
             return
         reports[index] = report
         if report.result is not None:
@@ -248,134 +161,94 @@ def run_suite(tasks: Sequence[SynthesisTask],
         if on_report is not None:
             on_report(report)
 
-    def handle_message(worker: _Worker) -> None:
-        message = worker.conn.recv()
-        if message[0] == "event":
-            # A live event forwarded from inside the worker's run —
-            # re-dispatch to the parent's subscribers as it happens.
-            obs.emit_forwarded(message[1])
+    def settle(message: Message) -> None:
+        index, _ = holding.pop(message.worker, (None, 0.0))
+        if message.kind == "died":
+            idle.append(pool.spawn())
+            if index is None:
+                idle.remove(message.worker)  # it died between tasks
+            elif attempts[index] == 0:
+                attempts[index] = 1
+                pending.appendleft(index)  # retry before new work
+                obs.emit("worker_retried", worker=message.worker,
+                         label=tasks[index].resolved_label())
+            else:
+                finish(index, TaskReport(
+                    label=tasks[index].resolved_label(), status="error",
+                    error=f"worker died twice (last exit code "
+                          f"{message.value})",
+                    worker_id=message.worker, retried=attempts[index]))
             return
-        index, kind, payload, span_tree, runtime = message
-        worker.task_index = None
+        idle.append(message.worker)
         base = dict(label=tasks[index].resolved_label(),
-                    worker_id=worker.id, retried=attempts[index],
-                    runtime=runtime, span_tree=span_tree)
-        if kind == "done":
-            finish(index, TaskReport(status=payload.status, result=payload,
+                    worker_id=message.worker, retried=attempts[index],
+                    runtime=message.elapsed)
+        if message.kind == "ok":
+            result, span_tree = message.value
+            finish(index, TaskReport(status=result.status, result=result,
+                                     span_tree=span_tree, **base))
+        else:
+            finish(index, TaskReport(status="error", error=message.value,
                                      **base))
-        else:
-            finish(index, TaskReport(status="error", error=payload, **base))
 
-    def handle_death(worker_slot: int) -> None:
-        nonlocal next_worker_id
-        worker = pool[worker_slot]
-        index = worker.task_index
-        exitcode = worker.proc.exitcode
-        worker.conn.close()
-        worker.proc.join()
-        obs.emit("worker_crashed", worker=worker.id, role="suite",
-                 exitcode=exitcode)
-        pool[worker_slot] = _Worker(ctx, next_worker_id, cancel_event,
-                                    forward_events)
-        next_worker_id += 1
-        if index is None:
-            return
-        if attempts[index] == 0:
-            attempts[index] = 1
-            pending.appendleft(index)  # retry before new work
-            obs.emit("worker_retried", worker=worker.id,
-                     label=tasks[index].resolved_label())
-        else:
+    def enforce_hard_deadlines() -> None:
+        now = time.perf_counter()
+        for worker, (index, assigned_at) in list(holding.items()):
+            budget = tasks[index].time_limit
+            if (budget is None
+                    or now - assigned_at <= budget + hard_deadline_grace):
+                continue
+            del holding[worker]
+            attempts[index] = 2  # an overrun is deterministic
+            pool.terminate(worker)
+            obs.emit("worker_crashed", worker=worker, role="suite",
+                     reason="hard_deadline")
             finish(index, TaskReport(
                 label=tasks[index].resolved_label(), status="error",
-                error=f"worker died twice (last exit code {exitcode})",
-                worker_id=worker.id, retried=attempts[index]))
+                error=f"hard deadline exceeded ({budget}s budget + "
+                      f"{hard_deadline_grace}s grace)",
+                worker_id=worker, runtime=now - assigned_at))
+            idle.append(pool.spawn())
 
-    try:
-        with obs.span("suite", tasks=len(tasks), workers=pool_size):
-            while len(reports) < len(tasks):
-                for worker in pool:
-                    if worker.idle and pending:
-                        index = pending.popleft()
-                        worker.assign(index, tasks[index])
+    with WorkerPool("suite", _suite_session) as pool:
+        idle.extend(pool.spawn() for _ in range(pool_size))
+        try:
+            with obs.span("suite", tasks=len(tasks), workers=pool_size):
+                while len(reports) < len(tasks):
+                    while idle and pending:
+                        worker, index = idle.pop(0), pending.popleft()
+                        pool.send(worker, tasks[index])
+                        holding[worker] = (index, time.perf_counter())
+                    for message in pool.wait(0.1):
+                        settle(message)
+                    enforce_hard_deadlines()
+        except KeyboardInterrupt:
+            # Graceful drain: cancel every engine cooperatively, collect
+            # whatever the workers can still report, never leave orphans.
+            interrupted = True
+            pool.cancel()
+            while pending:
+                index = pending.popleft()
+                reports.setdefault(
+                    index, TaskReport(label=tasks[index].resolved_label(),
+                                      status="cancelled",
+                                      error="interrupted before start"))
 
-                busy = [w for w in pool if not w.idle]
-                if busy:
-                    try:
-                        ready = connection_wait(
-                            [w.conn for w in busy], timeout=0.1)
-                    except OSError:
-                        ready = []
-                    for worker in busy:
-                        if worker.conn in ready:
-                            try:
-                                handle_message(worker)
-                            except (EOFError, OSError):
-                                pass  # death handled by the liveness scan
-
-                for slot, worker in enumerate(pool):
-                    if not worker.idle and not worker.proc.is_alive():
-                        handle_death(slot)
-
-                now = time.perf_counter()
-                for slot, worker in enumerate(pool):
-                    if worker.idle:
-                        continue
-                    budget = tasks[worker.task_index].time_limit
-                    if (budget is not None
-                            and now - worker.assigned_at
-                            > budget + hard_deadline_grace):
-                        index = worker.task_index
-                        attempts[index] = 2  # an overrun is deterministic
-                        worker.proc.terminate()
-                        worker.proc.join()
-                        worker.conn.close()
-                        obs.emit("worker_crashed", worker=worker.id,
-                                 role="suite", reason="hard_deadline")
-                        finish(index, TaskReport(
-                            label=tasks[index].resolved_label(),
-                            status="error",
-                            error=f"hard deadline exceeded "
-                                  f"({budget}s budget + "
-                                  f"{hard_deadline_grace}s grace)",
-                            worker_id=worker.id,
-                            runtime=now - worker.assigned_at))
-                        pool[slot] = _Worker(ctx, next_worker_id,
-                                             cancel_event, forward_events)
-                        next_worker_id += 1
-    except KeyboardInterrupt:
-        # Graceful drain: cancel every engine cooperatively, collect
-        # whatever the workers can still report, never leave orphans.
-        interrupted = True
-        cancel_event.set()
-        while pending:
-            index = pending.popleft()
-            reports.setdefault(
-                index, TaskReport(label=tasks[index].resolved_label(),
-                                  status="cancelled",
-                                  error="interrupted before start"))
-        deadline = time.perf_counter() + drain_grace
-        while (any(not w.idle for w in pool)
-               and time.perf_counter() < deadline):
-            busy = [w for w in pool if not w.idle and w.proc.is_alive()]
-            if not busy:
-                break
-            ready = connection_wait([w.conn for w in busy], timeout=0.1)
-            for worker in busy:
-                if worker.conn in ready:
-                    try:
-                        handle_message(worker)
-                    except (EOFError, OSError):
-                        worker.task_index = None
-        for worker in pool:
-            if not worker.idle:
-                index = worker.task_index
+            def abandon(worker: int, index: int) -> None:
                 reports.setdefault(index, TaskReport(
                     label=tasks[index].resolved_label(), status="cancelled",
-                    error="interrupted mid-run", worker_id=worker.id))
-    finally:
-        for worker in pool:
-            worker.shutdown()
+                    error="interrupted mid-run", worker_id=worker))
+
+            deadline = time.perf_counter() + drain_grace
+            while holding and time.perf_counter() < deadline:
+                for message in pool.wait(0.1):
+                    if message.kind != "died":
+                        settle(message)
+                    elif message.worker in holding:
+                        abandon(message.worker,
+                                holding.pop(message.worker)[0])
+            for worker, (index, _) in holding.items():
+                abandon(worker, index)
 
     ordered = [reports[index] for index in range(len(tasks))
                if index in reports]

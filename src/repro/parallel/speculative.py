@@ -22,61 +22,50 @@ workers=k)`` therefore documents a serial fallback instead.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-import signal
 import time
-from multiprocessing.connection import wait as connection_wait
-from typing import Dict, Optional, Tuple
+from contextlib import contextmanager
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 import repro.obs as obs
-from repro.core.cancel import CancelledError, CancelToken
+from repro.core.cancel import CancelledError
 from repro.core.library import GateLibrary
 from repro.core.spec import Specification
+from repro.parallel.pool import WorkerPool
 from repro.synth.result import DepthStat, SynthesisResult
 
 __all__ = ["speculative_synthesize"]
 
 
-def _depth_server(engine_name: str, spec, library, engine_options,
-                  conn, cancel_event):
-    """Worker loop: construct the engine once, answer depth queries.
+@contextmanager
+def _depth_session(engine_name: str, spec, library, engine_options, token):
+    """Depth-server session: construct the engine once, answer depths.
 
-    The loop runs inside an engine session
+    The server runs inside an engine session
     (:func:`repro.synth.driver.engine_session`), so the SAT/QBF engines
     keep one warm incremental solver per worker amortized across the
     worker's whole depth window.  The monotone session encodings
     tolerate the gapped, strictly-increasing depth sequence each worker
     sees — missing cascade stages are appended on demand and trailing
-    stages never constrain earlier depths' answers.
+    stages never constrain earlier depths' answers.  A request is
+    ``(depth, budget)``; the reply is the depth's outcome, or ``None``
+    when the run was cancelled.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     from repro.synth.driver import ENGINES, engine_session
 
-    # Depth servers answer bare decide() calls — the deepening loop
-    # (and thus all event emission) lives in the parent, so inherited
-    # parent subscribers must simply be dropped.
-    obs.reset_event_bus()
-    token = CancelToken(cancel_event)
     engine = ENGINES[engine_name](spec, library, cancel_token=token,
                                   **engine_options)
+
+    def decide(request):
+        depth, budget = request
+        try:
+            return engine.decide(depth, time_limit=budget)
+        except CancelledError:
+            return None
+
     with engine_session(engine):
-        while True:
-            message = conn.recv()
-            if message is None:
-                return
-            depth, budget = message
-            started = time.perf_counter()
-            try:
-                outcome = engine.decide(depth, time_limit=budget)
-                conn.send((depth, "ok", outcome,
-                           time.perf_counter() - started))
-            except CancelledError:
-                conn.send((depth, "cancelled", None,
-                           time.perf_counter() - started))
-            except Exception as exc:  # noqa: BLE001 — ship it to the parent
-                conn.send((depth, "error", repr(exc),
-                           time.perf_counter() - started))
+        yield decide
 
 
 def speculative_synthesize(spec: Specification,
@@ -147,25 +136,8 @@ def speculative_synthesize(spec: Specification,
         result.store_resumed_from = start_depth - 1
     deadline = None if time_limit is None else start + time_limit
 
-    ctx = mp.get_context("fork")
-    cancel_event = ctx.Event()
-    conns = []
-    procs = []
-    for server_id in range(workers):
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        proc = ctx.Process(target=_depth_server,
-                           args=(engine, spec, library, engine_options,
-                                 child_conn, cancel_event),
-                           daemon=True)
-        proc.start()
-        child_conn.close()
-        conns.append(parent_conn)
-        procs.append(proc)
-        obs.emit("worker_spawned", worker=server_id, role="speculative",
-                 engine=engine)
-
-    idle = list(range(workers))
-    busy: Dict[int, int] = {}           # worker index -> depth in flight
+    idle: List[int] = []
+    busy: Dict[int, int] = {}           # worker id -> depth in flight
     outcomes: Dict[int, Tuple[str, object, float]] = {}
     dispatched = set()
     commit = start_depth
@@ -176,7 +148,9 @@ def speculative_synthesize(spec: Specification,
             return None
         return max(0.0, deadline - time.perf_counter())
 
-    try:
+    session = partial(_depth_session, engine, spec, library, engine_options)
+    with WorkerPool("speculative", session) as pool:
+        idle.extend(pool.spawn(engine=engine) for _ in range(workers))
         with obs.span("speculate", spec=result.spec_name, engine=engine,
                       workers=workers):
             while True:
@@ -189,7 +163,7 @@ def speculative_synthesize(spec: Specification,
                     if budget is not None and budget <= MIN_DEPTH_BUDGET:
                         break
                     worker = idle.pop()
-                    conns[worker].send((next_depth, budget))
+                    pool.send(worker, (next_depth, budget))
                     busy[worker] = next_depth
                     dispatched.add(next_depth)
                     obs.emit("depth_started", spec=result.spec_name,
@@ -204,13 +178,14 @@ def speculative_synthesize(spec: Specification,
                     result.status = "timeout"
                     break
 
-                ready = connection_wait([conns[w] for w in busy], timeout=0.1)
-                for conn in ready:
-                    worker = conns.index(conn)
-                    depth, kind, payload, runtime = conn.recv()
-                    del busy[worker]
-                    idle.append(worker)
-                    outcomes[depth] = (kind, payload, runtime)
+                for message in pool.wait(0.1):
+                    if message.worker not in busy:
+                        idle.remove(message.worker)  # died between depths
+                        continue
+                    if message.kind != "died":
+                        idle.append(message.worker)
+                    outcomes[busy.pop(message.worker)] = (
+                        message.kind, message.value, message.elapsed)
 
                 if (deadline is not None
                         and time.perf_counter() > deadline
@@ -225,7 +200,10 @@ def speculative_synthesize(spec: Specification,
                     if kind == "error":
                         raise RuntimeError(
                             f"depth-{commit} worker failed: {outcome}")
-                    if kind == "cancelled":
+                    if kind == "died":
+                        raise RuntimeError(f"depth-{commit} worker died "
+                                           f"(exit code {outcome})")
+                    if outcome is None:
                         result.status = "cancelled"
                         settled = True
                         break
@@ -263,20 +241,6 @@ def speculative_synthesize(spec: Specification,
                     break
                 if commit > limit and not busy:
                     break
-    finally:
-        cancel_event.set()
-        for conn in conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in procs:
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-        for conn in conns:
-            conn.close()
 
     if final_depth is None:
         final_depth = commit

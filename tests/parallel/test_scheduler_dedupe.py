@@ -1,10 +1,15 @@
 """Regression: crash-retried tasks must yield exactly one record each."""
 
 import collections
+import os
+import threading
+import time
+from contextlib import contextmanager
 
 import repro.obs as obs
 from repro.functions import get_spec
 from repro.parallel import SynthesisTask, run_suite
+from repro.parallel.pool import WorkerPool
 from repro.parallel.scheduler import TaskReport
 
 
@@ -32,26 +37,32 @@ def test_crash_retried_task_emits_exactly_one_trace_record(tmp_path):
     assert retried[0]["spec"] == "decod24-v0"
 
 
-def test_duplicate_completion_for_one_task_is_dropped():
-    """Drive the scheduler's dedupe guard directly: a second completion
-    report for an already-finished task index must not overwrite the
-    first or double-publish metrics.
+@contextmanager
+def _reply_then_exit(token):
+    """Answer a request, then kill the worker right after the reply."""
+    def handle(request):
+        threading.Timer(0.2, os._exit, (7,)).start()
+        return request
 
-    The pool's message handling makes this near-impossible to provoke
-    end-to-end on purpose (the liveness scan and the pipe drain race in
-    a ~100ms window), so the guard is exercised at the ``finish()``
-    layer through its observable contract: run a suite where the same
-    label appears twice as *distinct* tasks — both must report — and
-    assert positional integrity, then check the defensive path via the
-    reports-dict invariant.
-    """
-    tasks = _tasks(["3_17", "3_17"])  # same label, distinct task indices
-    run = run_suite(tasks, workers=2)
-    assert len(run.reports) == 2
-    assert all(r.ok for r in run.reports)
-    # Distinct tasks with equal labels both survive (dedupe is by task
-    # index, not label).
-    assert [r.label for r in run.reports] == ["3_17/bdd/mct", "3_17/bdd/mct"]
+    yield handle
+
+
+def test_reply_before_death_finishes_the_request_once():
+    """A worker that sends its reply and then dies yields the reply
+    first and the death second, so the request it held finishes
+    exactly once and is never mistaken for a lost one (which the suite
+    would retry, finishing the task twice)."""
+    with WorkerPool("suite", _reply_then_exit) as pool:
+        worker = pool.spawn()
+        pool.send(worker, "task-0")
+        time.sleep(0.5)  # reply and death both pending before wait()
+        messages = []
+        deadline = time.monotonic() + 30
+        while (not any(m.kind == "died" for m in messages)
+               and time.monotonic() < deadline):
+            messages.extend(pool.wait(0.1))
+    assert [(m.worker, m.kind, m.value) for m in messages] \
+        == [(worker, "ok", "task-0"), (worker, "died", 7)]
 
 
 def test_crashed_then_retried_store_task_reuses_banked_bounds(tmp_path):

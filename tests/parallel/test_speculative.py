@@ -1,11 +1,16 @@
 """Speculative depth pipelining: serial trajectory, honest waste."""
 
+import multiprocessing
+import os
+import signal
+
 import pytest
 
 from repro.core.spec import Specification
 from repro.functions import get_spec
 import repro.obs as obs
-from repro.synth import synthesize
+from repro.synth import driver, synthesize
+from repro.synth.sat_engine import SatBaselineEngine
 
 
 def swap_spec():
@@ -73,3 +78,21 @@ def test_speculative_aggregate_matches_per_depth_sums():
         obs.merge_metrics(totals, step.metrics)
     for key, value in totals.items():
         assert result.metrics[key] == value
+
+
+class _KilledAtDepth3(SatBaselineEngine):
+    """A SAT engine whose depth server SIGKILLs itself on depth 3."""
+
+    def decide(self, depth, time_limit=None):
+        if depth == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().decide(depth, time_limit=time_limit)
+
+
+def test_dead_depth_server_raises_and_leaves_no_child(monkeypatch):
+    monkeypatch.setitem(driver.ENGINES, "sat", _KilledAtDepth3)
+    with pytest.raises(RuntimeError,
+                       match=r"^depth-3 worker died \(exit code -9\)$"):
+        synthesize(get_spec("3_17"), engine="sat", workers=2,
+                   time_limit=60)
+    assert multiprocessing.active_children() == []
