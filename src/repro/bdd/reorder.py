@@ -58,7 +58,7 @@ class _SiftSession:
     def __init__(self, manager: BddManager):
         self.m = manager
         n = len(manager._var)
-        self.ref = array("q", bytes(8 * n))
+        self.ref = array("q", (0,)) * n
         self.buckets: List[List[int]] = [[] for _ in range(manager.num_vars)]
         self.dead: List[int] = []
         var_col = manager._var
@@ -99,7 +99,7 @@ class _SiftSession:
         i = edge >> 1
         ref = self.ref
         if i >= len(ref):
-            ref.extend(array("q", bytes(8 * (len(m._var) - len(ref)))))
+            ref.extend(array("q", (0,)) * (len(m._var) - len(ref)))
         ref[i] += 1
         if m._live != live0:
             c = lo >> 1

@@ -38,6 +38,9 @@ __all__ = ["SuiteRun", "TaskReport", "run_suite"]
 @contextmanager
 def _suite_session(token):
     def run(task):
+        # Each task's span tree holds that task alone: drop the spans of
+        # earlier tasks (and any inherited across the fork).
+        obs.get_tracer().reset()
         # ``task.run`` is looked up per call, so a wrapper installed on
         # the class before the fork is honoured in the worker.
         with obs.span("suite.task", label=task.resolved_label()):

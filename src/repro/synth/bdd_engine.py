@@ -406,6 +406,8 @@ class BddSynthesisEngine:
                             - before.get("gc_runs", 0)),
             "bdd.gc_reclaimed": (now.get("gc_reclaimed", 0)
                                  - before.get("gc_reclaimed", 0)),
+            "bdd.table_grows": (now.get("table_grows", 0)
+                                - before.get("table_grows", 0)),
             "bdd.reorder_runs": (now.get("reorder_runs", 0)
                                  - before.get("reorder_runs", 0)),
             "bdd.reorder_swaps": (now.get("reorder_swaps", 0)

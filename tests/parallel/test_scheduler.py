@@ -98,3 +98,20 @@ def test_mixed_engines_in_one_batch():
              for engine in ("bdd", "sat", "sword", "qbf")]
     run = run_suite(tasks, workers=2)
     assert all(r.ok and r.result.depth == 3 for r in run.reports)
+
+
+def test_traced_span_trees_hold_only_their_own_task():
+    # One worker runs every task; each report's tree must cover that
+    # task alone, not every task the worker ran before it.
+    obs.set_tracing(True)
+    try:
+        run = run_suite(_tasks(["3_17"] * 6), workers=1)
+    finally:
+        obs.set_tracing(False)
+    trees = [report.span_tree for report in run.reports]
+    assert all(report.ok for report in run.reports)
+    assert len({len(tree.splitlines()) for tree in trees}) == 1
+    for tree in trees:
+        roots = [line for line in tree.splitlines()
+                 if not line.startswith(" ")]
+        assert len(roots) == 1 and roots[0].startswith("suite.task")

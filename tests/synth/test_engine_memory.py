@@ -19,6 +19,9 @@ import repro.obs as obs
 from repro.functions import get_spec
 from repro.parallel import SynthesisTask, run_suite
 from repro.synth import synthesize
+from repro.bdd.manager import BddManager
+from repro.bdd.tables import kernel_available
+import repro.synth.bdd_engine as bdd_engine
 from repro.synth.bdd_engine import BddSynthesisEngine
 
 
@@ -109,7 +112,7 @@ class TestMemoryMetrics:
         assert obs.validate_run_record(record) == []
         metrics = record["metrics"]
         assert metrics["bdd.bytes"] > 0
-        for key in ("bdd.gc_runs", "bdd.gc_reclaimed",
+        for key in ("bdd.gc_runs", "bdd.gc_reclaimed", "bdd.table_grows",
                     "bdd.reorder_runs", "bdd.reorder_swaps"):
             assert key in metrics
         # Stripped from the canonical projection (resource figures)...
@@ -131,3 +134,54 @@ class TestMemoryMetrics:
         assert collected.num_solutions == default.num_solutions
         assert sorted(str(c) for c in collected.circuits) \
             == sorted(str(c) for c in default.circuits)
+
+
+@pytest.mark.skipif(not kernel_available(), reason="native kernel unavailable")
+class TestKernelParity:
+    """The engine with the native kernel on and off.
+
+    The tables are byte-identical either way (tests/bdd/test_gc.py), so
+    answers, node counts, quantifier work and table growth agree per
+    depth.  ``bdd.ite_calls`` is the one counter that may not: a kernel
+    call that pauses (allocation budget, empty free list, table at its
+    load limit) is replayed, and the replay's computed-cache hits count
+    as calls, so the kernel reports at least as many as the pure loops.
+    """
+
+    #: Per-depth ``bdd.ite_calls`` of 3_17 with the kernel; pins the
+    #: pause/replay accounting (and the cache behaviour it depends on)
+    #: across changes to the kernel's table upkeep.
+    KERNEL_ITE_CALLS_3_17 = [0, 54, 574, 2398, 4681, 12084, 23469]
+
+    @staticmethod
+    def _per_depth(result):
+        return [(d.depth, d.metrics["bdd.quant_calls"],
+                 d.metrics["bdd.table_grows"], d.metrics["bdd.nodes"],
+                 d.metrics["bdd.peak_nodes"], d.metrics["bdd.eq_size"])
+                for d in result.per_depth]
+
+    @pytest.mark.parametrize("name, options", [
+        ("3_17", {}), ("mod5d1_s", {}),
+        # Checkpoint GC: the native sweep inside the engine.
+        ("3_17", {"gc_threshold": 2000})])
+    def test_kernel_on_off_identical(self, name, options, monkeypatch):
+        spec = get_spec(name)
+        native = synthesize(spec, engine="bdd", **options)
+        monkeypatch.setattr(
+            bdd_engine, "BddManager",
+            lambda *args, **kwargs: BddManager(*args, use_kernel=False,
+                                               **kwargs))
+        pure = synthesize(spec, engine="bdd", **options)
+        assert [str(c) for c in native.circuits] \
+            == [str(c) for c in pure.circuits]
+        assert self._per_depth(native) == self._per_depth(pure)
+        assert native.metrics["bdd.table_grows"] > 0
+        for ours, theirs in zip(native.per_depth, pure.per_depth):
+            assert ours.metrics["bdd.ite_calls"] \
+                >= theirs.metrics["bdd.ite_calls"]
+        if options:
+            assert native.metrics["bdd.gc_reclaimed"] \
+                == pure.metrics["bdd.gc_reclaimed"] > 0
+        elif name == "3_17":
+            assert [d.metrics["bdd.ite_calls"] for d in native.per_depth] \
+                == self.KERNEL_ITE_CALLS_3_17
