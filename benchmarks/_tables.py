@@ -32,11 +32,12 @@ from __future__ import annotations
 import os
 import subprocess
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["tier", "engine_timeout", "trace_file", "workers",
            "history_file", "append_history", "machine_calibration",
-           "PAPER_TABLE1", "PAPER_NOTES", "format_time", "print_table"]
+           "record_store_peaks", "PAPER_TABLE1", "PAPER_NOTES",
+           "format_time", "print_table"]
 
 #: Schema tag of one benchmarks/history.jsonl line.
 HISTORY_FORMAT = "repro-bench-history-v1"
@@ -90,6 +91,26 @@ def _git_commit() -> Optional[str]:
     except (OSError, subprocess.TimeoutExpired):
         return None
     return out.stdout.strip() or None if out.returncode == 0 else None
+
+
+def record_store_peaks(manager) -> List[Tuple[int, int]]:
+    """Sample ``(node_store_bytes, live nodes)`` before every collection.
+
+    The node columns never shrink and the unique table only shrinks when
+    a collection rebuilds it, so the samples taken just before each
+    ``gc()`` of ``manager`` — the engine's between-depth reclaim and any
+    checkpoint collection — include the store's peak of every depth.
+    Returns the (growing) sample list.
+    """
+    samples: List[Tuple[int, int]] = []
+    collect = manager.gc
+
+    def gc(extra_roots=()):
+        samples.append((manager.node_store_bytes(), manager.node_count()))
+        return collect(extra_roots)
+
+    manager.gc = gc
+    return samples
 
 
 _calibration: Optional[float] = None

@@ -3,32 +3,38 @@
 The full 4_49 deepening run is the instance where the v2 core hit the
 paper's memory wall — dict-backed node tables exhaust RAM while the
 answer is still depths away.  This bench reproduces the wall at a
-deliberately small, CI-safe scale: each core deepens 4_49 with
-between-depth compaction *off* (the store only ever grows, so its size
-is the honest footprint of everything the run interned) and stops at
-the first depth whose finished store exceeds a fixed byte budget.
-The depth reached within the budget is the figure of merit.
+deliberately small, CI-safe scale: each contender deepens 4_49 and
+stops at the first depth whose *peak* node store exceeds a fixed byte
+budget.  The engine reclaims with ``gc()`` after every depth, so the
+peak of a depth is the store just before that reclaim (the columns
+never shrink, and only a collection shrinks the unique table); it is
+sampled there (``_tables.record_store_peaks``).  The depth reached
+within the budget is the figure of merit.
 
-Three contenders, one budget (4 MiB):
+Two contenders, one budget (4 MiB):
 
-* ``v2``      — the frozen dict-table core (vendored ``_v2_bdd``),
-                footprint measured by the ``sys.getsizeof`` walk.
 * ``v3``      — the packed-table core, default options.
 * ``v3+gc``   — packed tables with checkpoint GC
-                (``gc_threshold=50000``), which reclaims each depth's
-                dead frontier so freed slots are reused instead of
-                growing the columns.
+                (``gc_threshold=20000``), which also reclaims dead
+                frontier nodes between the cascade stages of a depth.
+                The between-depth reclaim keeps the live count at the
+                stage checkpoints low, so the threshold sits where the
+                checkpoint sweep still runs from depth 7 on (at 50000
+                it never ran in this tier).
 
-Hard assertions, not reports: every depth any core decides must be
-UNSAT (4_49 needs more depth than this tier allows — a core "winning"
-by misjudging a depth would be caught), v3 must reach *strictly* more
-depths than v2 in the same budget, and GC must never reach fewer
-depths than plain v3.  On the dev container the tier lands at
-v2=4, v3=7, v3+gc=8 — the per-node packing buys three depths and
-checkpoint GC a fourth (see ``docs/performance.md``).
+The frozen v2 dict-table core, raced here until it was retired,
+reached depth 4 in the same budget, measured on its store after each
+depth with no reclaim at all (``FROZEN_V2_DEPTH``; EXPERIMENTS.md).
 
-The whole tier runs in a few seconds; the 1800 s full-instance run
-stays out of CI by construction.
+Hard assertions, not reports: every depth any contender decides must
+be UNSAT (4_49 needs more depth than this tier allows — a contender
+"winning" by misjudging a depth would be caught), v3 must reach
+*strictly* more depths than the frozen v2 figure, the ``v3+gc``
+contender must actually collect at a checkpoint, and checkpoint GC
+must never reach fewer depths than plain v3.
+
+The whole tier runs in a few seconds; the full instance stays out of
+CI by construction.
 
 Run:  cd benchmarks && PYTHONPATH=../src python -m pytest bench_memory_wall.py -q -s
  or:  PYTHONPATH=src python benchmarks/bench_memory_wall.py
@@ -42,87 +48,80 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-import _v2_bdd
-from _tables import append_history, machine_calibration, print_table
-import repro.synth.bdd_engine as bdd_engine
+from _tables import (append_history, machine_calibration, print_table,
+                     record_store_peaks)
 from repro.bdd.tables import kernel_available
 from repro.core.library import GateLibrary
 from repro.functions import get_spec
+from repro.synth.bdd_engine import BddSynthesisEngine
 
 INSTANCE = "4_49"
 BUDGET_BYTES = 4 * 1024 * 1024
 #: Deepest depth the tier will attempt; every depth up to here is UNSAT
-#: for 4_49, and depth 9's store blows the budget for every contender,
+#: for 4_49, and depth 9's peak blows the budget for every contender,
 #: so the cap is never the binding constraint — it just bounds runtime.
 MAX_DEPTH = 9
 PER_DEPTH_TIME_LIMIT = 120.0
+#: Deepest depth the frozen v2 core reached within the budget.
+FROZEN_V2_DEPTH = 4
 
 CONTENDERS = {
-    "v2": {},
     "v3": {},
-    "v3+gc": {"gc_threshold": 50000},
+    "v3+gc": {"gc_threshold": 20000},
 }
 
 _results = {}
 
 
-def _store_bytes(manager):
-    if hasattr(manager, "node_store_bytes"):
-        return manager.node_store_bytes()
-    return _v2_bdd.node_store_bytes(manager)
+def _deepen_within_budget(options):
+    """Deepen until a depth's peak store exceeds the budget.
 
-
-def _deepen_within_budget(name, options):
-    """Deepen until the finished store exceeds the budget.
-
-    Returns ``(deepest_depth_within_budget, statuses, bytes_per_depth,
-    elapsed_s)``; the byte figure recorded for a depth is the store
-    footprint *after* that depth's stage build and decision.
+    Returns ``(deepest_depth_within_budget, statuses, peak_bytes_per_depth,
+    checkpoint_gc_runs, elapsed_s)``.
     """
     spec = get_spec(INSTANCE)
-    library = GateLibrary.mct(spec.n_lines)
-    previous = bdd_engine.BddManager
-    if name == "v2":
-        bdd_engine.BddManager = _v2_bdd.BddManager
-    try:
-        engine = bdd_engine.BddSynthesisEngine(
-            spec, library, compact_between_depths=False, **options)
-        start = time.perf_counter()
-        reached = -1
-        statuses = []
-        footprints = []
-        for depth in range(MAX_DEPTH + 1):
-            outcome = engine.decide(depth, time_limit=PER_DEPTH_TIME_LIMIT)
-            statuses.append(outcome.status)
-            assert outcome.status == "unsat", (
-                f"{name}: 4_49 depth {depth} decided "
-                f"{outcome.status}, expected unsat")
-            footprint = _store_bytes(engine.manager)
-            footprints.append(footprint)
-            if footprint > BUDGET_BYTES:
-                break
-            reached = depth
-        return reached, statuses, footprints, time.perf_counter() - start
-    finally:
-        bdd_engine.BddManager = previous
+    engine = BddSynthesisEngine(spec, GateLibrary.mct(spec.n_lines),
+                                **options)
+    samples = record_store_peaks(engine.manager)
+    start = time.perf_counter()
+    reached = -1
+    statuses = []
+    peaks = []
+    gc_runs = 0
+    for depth in range(MAX_DEPTH + 1):
+        del samples[:]
+        outcome = engine.decide(depth, time_limit=PER_DEPTH_TIME_LIMIT)
+        statuses.append(outcome.status)
+        gc_runs += outcome.metrics["bdd.gc_runs"]
+        assert outcome.status == "unsat", (
+            f"{options}: 4_49 depth {depth} decided "
+            f"{outcome.status}, expected unsat")
+        peak = max(store_bytes for store_bytes, _ in samples)
+        peaks.append(peak)
+        if peak > BUDGET_BYTES:
+            break
+        reached = depth
+    return reached, statuses, peaks, gc_runs, time.perf_counter() - start
 
 
 def test_memory_wall_tier():
     for name, options in CONTENDERS.items():
-        reached, statuses, footprints, elapsed = \
-            _deepen_within_budget(name, options)
+        reached, statuses, peaks, gc_runs, elapsed = \
+            _deepen_within_budget(options)
         _results[name] = {
             "deepest_within_budget": reached,
             "statuses": statuses,
-            "store_bytes_per_depth": footprints,
+            "peak_store_bytes_per_depth": peaks,
+            "checkpoint_gc_runs": gc_runs,
             "wall_s": elapsed,
         }
-    # Every core must agree on every verdict it reached (all UNSAT is
-    # asserted inside the loop; this pins the shared prefix lengths).
-    v2, v3, v3gc = (_results[n]["deepest_within_budget"]
-                    for n in ("v2", "v3", "v3+gc"))
-    assert v3 > v2, (
-        f"packed tables must break the wall: v3 reached {v3}, v2 {v2}")
+    v3, v3gc = (_results[n]["deepest_within_budget"]
+                for n in ("v3", "v3+gc"))
+    assert v3 > FROZEN_V2_DEPTH, (
+        f"packed tables must break the wall: v3 reached {v3}, "
+        f"frozen v2 {FROZEN_V2_DEPTH}")
+    assert _results["v3+gc"]["checkpoint_gc_runs"] > 0, (
+        "the v3+gc contender never collected at a checkpoint")
     assert v3gc >= v3, (
         f"checkpoint GC must never lose depths: {v3gc} < {v3}")
 
@@ -134,6 +133,7 @@ def _export():
         "bench": "memory_wall",
         "instance": INSTANCE,
         "budget_bytes": BUDGET_BYTES,
+        "frozen_v2_depth": FROZEN_V2_DEPTH,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "kernel": kernel_available(),
@@ -149,22 +149,22 @@ def _export():
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
     append_history("memory_wall", payload)
-    header = (f"{'CORE':8s} {'depth':>5s} {'store @ depth':>13s} "
+    header = (f"{'CORE':8s} {'depth':>5s} {'peak @ depth':>13s} "
               f"{'next depth':>11s} {'wall':>8s}")
-    rows = []
+    rows = [f"{'v2':8s} {FROZEN_V2_DEPTH:5d} {'(frozen)':>13s}"]
     for name, entry in _results.items():
         reached = entry["deepest_within_budget"]
-        footprints = entry["store_bytes_per_depth"]
-        at = footprints[reached] / 1e6 if reached >= 0 else 0.0
-        over = (f"{footprints[reached + 1] / 1e6:9.2f} MB"
-                if reached + 1 < len(footprints) else "      (cap)")
+        peaks = entry["peak_store_bytes_per_depth"]
+        at = peaks[reached] / 1e6 if reached >= 0 else 0.0
+        over = (f"{peaks[reached + 1] / 1e6:9.2f} MB"
+                if reached + 1 < len(peaks) else "      (cap)")
         rows.append(f"{name:8s} {reached:5d} {at:10.2f} MB "
                     f"{over:>11s} {entry['wall_s']:7.2f}s")
     print_table(
         f"MEMORY WALL — 4_49 depths reached in a "
         f"{BUDGET_BYTES // (1024 * 1024)} MiB node-store budget",
         header, rows,
-        "Between-depth compaction off; store measured after each depth; "
+        "Per-depth peak store, sampled before each reclaim; "
         "all decided depths UNSAT-verified.")
 
 

@@ -1,7 +1,7 @@
 """A reduced ordered binary decision diagram (ROBDD) package, v3.
 
-Packed-table core.  v2 (complement edges, op-tagged normalized caches,
-the fused match+forall recursion) stored nodes in Python lists-of-ints
+Packed-table core.  v2 (complement edges, op-tagged normalized caches)
+stored nodes in Python lists-of-ints
 and keyed the unique/computed tables with big packed integers in dicts;
 every node cost ~200-300 bytes across the list slots, the int objects
 and the dict entries, and every apply step paid a Python function call.
@@ -23,13 +23,13 @@ width, unlike v2's ``(var << 64) | (lo << 32) | hi`` packing whose
 fields silently wrap past 2**32 edges.  The AND/XOR/ITE computed cache
 is four parallel ``array('q')`` columns (key1/key2/key3/result),
 direct-mapped and lossy, invalidated in O(1) by bumping a generation
-tag folded into key2 — no dict, no per-entry key objects.  Quantify,
-restrict and the n-ary fused match keep a dict cache (their keys are
-arbitrary-precision masks and n-ary signatures that do not fit a fixed
-64-bit word); it is cleared in place on invalidation.
+tag folded into key2 — no dict, no per-entry key objects.  Quantify
+and restrict keep a dict cache (quantifier keys carry arbitrary-precision
+level masks that do not fit a fixed 64-bit word); it is cleared in
+place on invalidation.
 
-**Iterative apply loops.**  ``and_``/``xor``/``ite``/``_quantify``/
-``match_forall`` run on explicit stacks instead of Python recursion:
+**Iterative apply loops.**  ``and_``/``xor``/``ite``/``_quantify``
+run on explicit stacks instead of Python recursion:
 no per-node call overhead, no manager-scoped ``setrecursionlimit``
 bumping.  Pending frames keep the raw operand edges of every
 outstanding cache store on the stack so the garbage collector (below)
@@ -40,9 +40,10 @@ can treat in-flight operations as roots.
 edges they hold across operations; :meth:`gc` marks from those
 references, explicit extra roots and the conservative scan of active
 operation stacks, then threads dead nodes onto a free list, rebuilds
-the unique table and invalidates the computed caches.  Unlike v2's
-:meth:`compact`, edges survive a :meth:`gc` unchanged — no re-rooting
-— so the synthesis engine reclaims dead depth-frontier nodes mid-run.
+the unique table and invalidates the computed caches.  Edges survive
+a :meth:`gc` unchanged — no re-rooting — so it is the one reclaim path:
+the synthesis engine calls it between depths and, with a threshold,
+between cascade stages.
 Auto-GC (``enable_auto_gc``) triggers from the allocator under a node
 threshold; it is off by default because callers must hold only
 protected (or argument/stack-reachable) edges across allocating calls
@@ -85,17 +86,13 @@ __all__ = ["BddManager", "FALSE", "TRUE"]
 FALSE = 0
 TRUE = 1
 
-# Dict-cache operator tags (quantify/restrict/match share one dict; the
-# tag keeps differently-shaped keys disjoint).  The flat computed cache
-# uses the 2-bit in-key opcodes _C_AND/_C_XOR/_C_ITE instead.
-_OP_AND = 0
-_OP_XOR = 1
-_OP_ITE = 2
+# Dict-cache operator tags (quantify and restrict share one dict; the
+# tag keeps their keys disjoint).  The flat computed cache uses the
+# 2-bit in-key opcodes _C_AND/_C_XOR/_C_ITE instead.
 _OP_EXISTS = 3
 _OP_FORALL = 4
 _OP_RESTRICT0 = 5
 _OP_RESTRICT1 = 6
-_OP_MATCH = 7
 
 # Flat-cache opcodes, folded into key1 as (f << 2) | op.  Nonzero, so a
 # zeroed slot can never match a probe.
@@ -140,7 +137,7 @@ class BddManager:
         self._cgen = 1          # generation tag, 1.._GEN_MASK
         self._centries = 0
         self._cmisses = 0       # cumulative, counted at store time
-        # Dict cache for quantify/restrict/match (variable-width keys).
+        # Dict cache for quantify/restrict (variable-width keys).
         self._quant_cache: Dict[object, int] = {}
         # Table version: bumped whenever _utab or the cache arrays are
         # replaced or the generation changes; in-flight loops compare it
@@ -1333,151 +1330,69 @@ class BddManager:
 
     def match_forall(self, outputs: Sequence[int], on_bdds: Sequence[int],
                      dc_bdds: Sequence[int], num_inputs: int) -> int:
-        """Fused comparator + universal quantifier for Section 5.2.
+        """Comparator + universal quantifier for Section 5.2, as a row fold.
 
         Computes ``forall x0..x_{b-1} . AND_l (dc_l OR (outputs_l XNOR
-        on_l))`` with ``b = num_inputs`` in a single traversal that
-        cofactors all ``3n`` argument BDDs simultaneously, instead of
-        first materializing the equality BDD over X and Y and then
-        quantifying X back out of it.  Once the traversal has descended
-        past the input block (every argument's top *level* is ``>=
-        num_inputs``), the spec BDDs are terminals — their support is a
-        subset of the inputs — so each line's term collapses to the
-        output edge with at most a complement flip, and the conjunction
-        short-circuits on FALSE exactly like the absorbing case of
-        :meth:`_quantify`.
+        on_l))`` with ``b = num_inputs`` without building the equality
+        BDD over X and Y.  The quantifier is a conjunction over the
+        ``2**b`` input rows, so the method folds the rows in ascending
+        order (row ``r`` sets the input at level ``k`` to bit ``k`` of
+        ``r``).  Per row it reads each line's cofactor by walking the
+        output, on and dc edges down the X block — a walk that creates
+        no nodes.  ``on_l(r)`` and ``dc_l(r)`` are terminals, a line
+        with ``dc_l(r)`` TRUE is skipped, and the others contribute
+        ``outputs_l|r XNOR on_l(r)``, a BDD over the select variables.
+        The row's terms are ANDed together, then into the accumulator;
+        either reaching FALSE ends the fold.  Each folded row counts as
+        one ``quant_calls``.
 
         Requires every ``on``/``dc`` BDD to depend only on levels ``<
         num_inputs`` and the inputs to occupy the top ``num_inputs``
         levels of the order (true by construction for spec BDDs built
         over the X block, and preserved by block-constrained sifting);
-        the caller keeps the legacy two-step route for the
-        ``var_order="yx"`` ablation where they do not.
+        the caller keeps the two-step route for the ``var_order="yx"``
+        ablation where they do not.
         """
         var = self._var
         lo = self._lo
         hi = self._hi
-        qcache = self._quant_cache
-        # A line whose don't-care cover is the constant TRUE constrains
-        # nothing — drop it before the traversal ever sees it.  When
-        # all remaining covers are the constant FALSE (every
-        # permutation spec: no don't-cares at all) the dc column would
-        # ride through every cofactor step unchanged, so a stride-2
-        # signature skips it; the stride is part of the memo key
-        # because a 2k-tuple and a 3m-tuple can coincide element-wise.
-        sig: List[int] = []
-        stride = 2
-        for l in range(len(outputs)):
-            if dc_bdds[l] != TRUE and dc_bdds[l] != FALSE:
-                stride = 3
-                break
-        for l in range(len(outputs)):
-            dc = dc_bdds[l]
-            if dc == TRUE:
-                continue
-            sig.append(outputs[l])
-            sig.append(on_bdds[l])
-            if stride == 3:
-                sig.append(dc)
 
-        # Tag-led frames over heterogeneous stack items: 0 = task (the
-        # signature tuple below it), -1 = after-low (his tuple + key),
-        # -2 = combine (key + rlo).  Tuples on the stack are scanned by
-        # the GC marker, so signatures pending a cache store stay live.
-        st: list = [tuple(sig), 0]
-        out: List[int] = []
+        def at(e: int, r: int) -> int:
+            """The cofactor of ``e`` at input row ``r``."""
+            while e > 1:
+                i = e >> 1
+                k = var[i]
+                if k >= num_inputs:
+                    break
+                e = (hi[i] if (r >> k) & 1 else lo[i]) ^ (e & 1)
+            return e
+
+        # The arguments and the accumulator stay visible to the GC scan
+        # while the nested applies run; pins[-1] tracks the accumulator.
+        pins = [*outputs, *on_bdds, *dc_bdds, TRUE]
         stacks = self._active_stacks
-        stacks.append(st)
-        stacks.append(out)
-        qcalls = 0
-        qhits = 0
+        stacks.append(pins)
+        rows = 0
         try:
-            while st:
-                t = st.pop()
-                if t == 0:
-                    sig_t = st.pop()
-                    # The result depends on the argument edges alone
-                    # (all levels below num_inputs are quantified), so
-                    # the signature is the whole memo key.
-                    qcalls += 1
-                    key = (_OP_MATCH, stride, num_inputs, sig_t)
-                    cached = qcache.get(key)
-                    if cached is not None:
-                        qhits += 1
-                        out.append(cached)
+            acc = TRUE
+            for r in range(1 << num_inputs):
+                rows += 1
+                row = TRUE
+                for l in range(len(outputs)):
+                    if at(dc_bdds[l], r) == TRUE:
                         continue
-                    level = num_inputs
-                    for s in sig_t:
-                        if s > 1:
-                            v = var[s >> 1]
-                            if v < level:
-                                level = v
-                    if level >= num_inputs:
-                        # Past the input block: every term is an output
-                        # edge with at most a complement flip.
-                        result = TRUE
-                        st.append(key)  # pin across the nested applies
-                        if stride == 2:
-                            for i in range(0, len(sig_t), 2):
-                                result = self.and_(
-                                    result, sig_t[i] ^ sig_t[i + 1] ^ 1)
-                                if result == FALSE:
-                                    break
-                        else:
-                            for i in range(0, len(sig_t), 3):
-                                if sig_t[i + 2] == TRUE:
-                                    continue
-                                result = self.and_(
-                                    result, sig_t[i] ^ sig_t[i + 1] ^ 1)
-                                if result == FALSE:
-                                    break
-                        st.pop()
-                        qcache[key] = result
-                        out.append(result)
-                    else:
-                        los: List[int] = []
-                        his: List[int] = []
-                        for s in sig_t:
-                            if s > 1 and var[s >> 1] == level:
-                                c = s & 1
-                                los.append(lo[s >> 1] ^ c)
-                                his.append(hi[s >> 1] ^ c)
-                            else:
-                                los.append(s)
-                                his.append(s)
-                        st.append(tuple(his))
-                        st.append(key)
-                        st.append(-1)
-                        st.append(tuple(los))
-                        st.append(0)
-                elif t == -1:
-                    key = st.pop()
-                    his_t = st.pop()
-                    rlo = out.pop()
-                    if rlo == FALSE:
-                        qcache[key] = FALSE
-                        out.append(FALSE)
-                    else:
-                        st.append(rlo)
-                        st.append(key)
-                        st.append(-2)
-                        st.append(his_t)
-                        st.append(0)
-                else:
-                    key = st.pop()
-                    rlo = st.pop()
-                    rhi = out.pop()
-                    st.append(key)  # pin: the key tuple holds the sig
-                    result = self.and_(rlo, rhi)
-                    st.pop()
-                    qcache[key] = result
-                    out.append(result)
-            return out[0]
+                    term = at(outputs[l], r) ^ at(on_bdds[l], r) ^ 1
+                    row = self.and_(row, term)
+                    if row == FALSE:
+                        return FALSE
+                acc = self.and_(acc, row)
+                if acc == FALSE:
+                    return FALSE
+                pins[-1] = acc
+            return acc
         finally:
             stacks.pop()
-            stacks.pop()
-            self.quant_calls += qcalls
-            self.quant_cache_hits += qhits
+            self.quant_calls += rows
 
     # -- evaluation / models -----------------------------------------------------------------
 
@@ -1750,11 +1665,10 @@ class BddManager:
 
         Roots are the protected references, ``extra_roots`` and a
         conservative scan of in-flight operation stacks (every int is
-        treated as a potential edge, tuples are scanned for the n-ary
-        match signatures — over-approximation only ever retains more).
-        Dead nodes go on the free list, keeping all surviving edge
-        values unchanged (no re-rooting, unlike :meth:`compact`); the
-        unique table is rebuilt and the computed caches invalidated.
+        treated as a potential edge — over-approximation only ever
+        retains more).  Dead nodes go on the free list, keeping all
+        surviving edge values unchanged; the unique table is rebuilt
+        and the computed caches invalidated.
         Roots are collected here; with the kernel attached, the mark
         and sweep from them run natively.
         """
@@ -1766,22 +1680,9 @@ class BddManager:
         stack.extend(e >> 1 for e in extra_roots)
         for lst in self._active_stacks:
             for x in lst:
-                if type(x) is int:
-                    i = x >> 1
-                    if 0 < i < nvals and _var[i] >= 0:
-                        stack.append(i)
-                elif type(x) is tuple:
-                    for y in x:
-                        if type(y) is int:
-                            i = y >> 1
-                            if 0 < i < nvals and _var[i] >= 0:
-                                stack.append(i)
-                        elif type(y) is tuple:
-                            for z in y:
-                                if type(z) is int:
-                                    i = z >> 1
-                                    if 0 < i < nvals and _var[i] >= 0:
-                                        stack.append(i)
+                i = x >> 1
+                if 0 < i < nvals and _var[i] >= 0:
+                    stack.append(i)
         if self._klib is not None:
             freed = self._kernel_sweep(stack)
         else:
@@ -1874,7 +1775,7 @@ class BddManager:
         """Instrumentation snapshot, in the ``docs/observability.md`` names.
 
         Counter values are cumulative over the manager's lifetime and
-        survive :meth:`clear_caches`/:meth:`compact`/:meth:`gc`;
+        survive :meth:`clear_caches`/:meth:`gc`;
         callers wanting per-phase figures diff two snapshots.  The
         ``ite_*`` names cover the whole apply layer (AND, XOR and ITE
         share one tagged cache) — the names predate the v2 split and
@@ -1898,57 +1799,6 @@ class BddManager:
             "reorder_swaps": self.reorder_swaps,
             "bytes": self.bytes_used(),
         }
-
-    def compact(self, roots: Sequence[int]) -> List[int]:
-        """Mark-and-sweep compaction keeping only nodes reachable from roots.
-
-        Returns the remapped root edges.  All previously handed-out
-        edges other than the returned ones become invalid (protected
-        references are remapped in place); callers that only need dead
-        nodes reclaimed should prefer :meth:`gc`, which keeps edges
-        stable.  Kept for the v2 engine contract and for callers that
-        want the columns themselves shrunk.
-        """
-        if self._live > self.peak_nodes:
-            self.peak_nodes = self._live
-        reachable: Set[int] = {0}
-        stack = [root >> 1 for root in roots]
-        stack.extend(edge >> 1 for edge in self._refs)
-        while stack:
-            index = stack.pop()
-            if index in reachable:
-                continue
-            reachable.add(index)
-            stack.append(self._lo[index] >> 1)
-            stack.append(self._hi[index] >> 1)
-        # Keep relative index order; the id map is built up front
-        # because after sifting a parent's in-place rewrite can leave
-        # its freshly allocated children at *higher* indices.
-        old_ids = sorted(reachable)
-        remap: Dict[int, int] = {old_id: new_id
-                                 for new_id, old_id in enumerate(old_ids)}
-        new_var = array("i")
-        new_lo = array("q")
-        new_hi = array("q")
-        for old_id in old_ids:
-            new_var.append(self._var[old_id])
-            if old_id == 0:
-                new_lo.append(FALSE)
-                new_hi.append(FALSE)
-            else:
-                old_lo = self._lo[old_id]
-                old_hi = self._hi[old_id]
-                new_lo.append((remap[old_lo >> 1] << 1) | (old_lo & 1))
-                new_hi.append((remap[old_hi >> 1] << 1) | (old_hi & 1))
-        self._var, self._lo, self._hi = new_var, new_lo, new_hi
-        self._free = 0
-        self._live = len(new_var)
-        self._refs = {(remap[edge >> 1] << 1) | (edge & 1): count
-                      for edge, count in self._refs.items()}
-        self._rebuild_utab()
-        self._bump_gen()
-        self._quant_cache.clear()
-        return [(remap[root >> 1] << 1) | (root & 1) for root in roots]
 
     # -- export --------------------------------------------------------------------------------------
 

@@ -26,7 +26,7 @@ the repo can observe it.
 **Table upkeep.**  Servicing a pause is itself loop work, so the
 kernel also carries those loops, run only when Python asks:
 ``bdd_rehash`` (unique-table doubling), ``bdd_rebuild`` (re-insert the
-live nodes after GC, compaction or reordering), ``bdd_chain`` (thread
+live nodes after GC or reordering), ``bdd_chain`` (thread
 freshly appended column slots into the free list) and ``bdd_sweep``
 (mark from a root list the manager collected, then free the unmarked
 nodes).  Each visits entries in the same order as its pure-Python

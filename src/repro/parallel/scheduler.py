@@ -167,15 +167,21 @@ def run_suite(tasks: Sequence[SynthesisTask],
     def settle(message: Message) -> None:
         index, _ = holding.pop(message.worker, (None, 0.0))
         if message.kind == "died":
-            idle.append(pool.spawn())
+            fresh = pool.spawn()
             if index is None:
                 idle.remove(message.worker)  # it died between tasks
+                idle.append(fresh)
             elif attempts[index] == 0:
                 attempts[index] = 1
-                pending.appendleft(index)  # retry before new work
+                # Retry before new work, on the fresh worker: both go to
+                # the front, so the next assignment pairs them even when
+                # a sibling's reply made another worker idle first.
+                pending.appendleft(index)
+                idle.insert(0, fresh)
                 obs.emit("worker_retried", worker=message.worker,
                          label=tasks[index].resolved_label())
             else:
+                idle.append(fresh)
                 finish(index, TaskReport(
                     label=tasks[index].resolved_label(), status="error",
                     error=f"worker died twice (last exit code "

@@ -48,10 +48,10 @@ ORBIT_KEY_FORMAT = "repro-store-key-orbit-v1"
 #: never which minimal networks it finds; they are excluded from the
 #: store key so e.g. a cancelled-then-retried run still hits the entry
 #: its first attempt would have written.  The BDD engine's memory
-#: options (reordering, GC, cache bound, between-depth compaction)
-#: change node counts and run time, never answers.
+#: options (reordering, GC, cache bound) change node counts and run
+#: time, never answers.
 VOLATILE_OPTIONS = frozenset({"cancel_token", "reorder", "gc_threshold",
-                              "cache_limit", "compact_between_depths"})
+                              "cache_limit"})
 
 
 def gate_payload(gate) -> List:

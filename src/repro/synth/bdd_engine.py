@@ -7,9 +7,9 @@ gate-select variables ``Y_1 .. Y_d``, built incrementally:
 
     SOL_d = forall X . AND_l ( f_l^dc OR (F_{d,l} XNOR f_l^on) )
 
-— done in one fused recursion (:meth:`BddManager.match_forall`) that
-never materializes the intermediate equality BDD over X and Y; the
-``var_order="yx"`` ablation falls back to the explicit comparator
+— done as a fold over the input rows (:meth:`BddManager.match_forall`)
+that never materializes the intermediate equality BDD over X and Y;
+the ``var_order="yx"`` ablation falls back to the explicit comparator
 followed by :meth:`BddManager.forall`.  A non-zero result BDD
 encodes *every* depth-``d`` realization at once: each model over the
 ``Y`` variables decodes to one network, so the engine reports the exact
@@ -21,6 +21,10 @@ variables first and appending select variables per depth; the opposite
 order (available as ``var_order="yx"`` with ``incremental=False``) makes
 ``F_d`` enumerate every function realizable with ``d`` gates and blows
 up, which ablation A1 measures.
+
+Between depths the engine reclaims every node its protected roots (the
+cascade frontier and the spec BDDs) no longer reach with
+:meth:`BddManager.gc`, which keeps those edges unchanged.
 """
 
 from __future__ import annotations
@@ -38,6 +42,12 @@ from repro.core.spec import Specification
 from repro.synth.universal import BddAlgebra, universal_gate_stage
 
 __all__ = ["DepthOutcome", "BddSynthesisEngine"]
+
+#: Cumulative :meth:`BddManager.stats` counters reported per depth as
+#: the difference across one :meth:`BddSynthesisEngine.decide`.
+_COUNTERS = ("ite_calls", "ite_cache_hits", "quant_calls",
+             "quant_cache_hits", "gc_runs", "gc_reclaimed", "table_grows",
+             "reorder_runs", "reorder_swaps")
 
 
 @dataclass
@@ -96,7 +106,6 @@ class BddSynthesisEngine:
 
     def __init__(self, spec: Specification, library: GateLibrary,
                  incremental: bool = True, var_order: str = "xy",
-                 compact_between_depths: bool = True,
                  max_enumerate: int = 200_000,
                  cache_limit: int = 1_500_000,
                  reorder: bool = False,
@@ -115,11 +124,10 @@ class BddSynthesisEngine:
         depth-frontier nodes at that live-node count, checked between
         cascade stages; ``reorder`` truthy arms sifting-based dynamic
         reordering of the select-variable block at the same checkpoints
-        (the input block stays on top — the fused-quantification
+        (the input block stays on top — the :meth:`BddManager.match_forall`
         precondition).  Passing an ``int`` sets the live-node count
         that first triggers a sift (``True`` keeps the manager
-        default).  Both default off, leaving the default allocation
-        trajectory byte-identical to the v2 core; both change only
+        default).  Both default off, and both change only
         memory/runtime, never answers — reordering trades sift time
         for node-store headroom, so it pays on memory-bound instances,
         not fast small ones.
@@ -141,7 +149,6 @@ class BddSynthesisEngine:
         self.library = library
         self.incremental = incremental
         self.var_order = var_order
-        self.compact_between_depths = compact_between_depths
         self.max_enumerate = max_enumerate
         self.cache_limit = cache_limit
         self.reorder = reorder
@@ -181,24 +188,17 @@ class BddSynthesisEngine:
         Protection is what lets :meth:`BddManager.gc` (and the sifting
         session's reference counts) see the cascade frontier and the
         spec BDDs as live; everything else allocated while building a
-        stage is reclaimable.  Managers without the protocol (the
-        vendored v2 core the benchmark harness injects) degrade to no
-        protection — they have no GC to protect against.
+        stage is reclaimable.
         """
-        self._protect = getattr(self.manager, "protect", None)
-        self._unprotect = getattr(self.manager, "unprotect", None)
-        if self._protect is None:
-            return
         for edge in (*self.lines, *self.on_bdds, *self.dc_bdds):
-            self._protect(edge)
+            self.manager.protect(edge)
 
     def _replace_lines(self, new_lines: List[int]) -> None:
         """Swap the protected cascade frontier to a new stage's outputs."""
-        if self._protect is not None:
-            for edge in new_lines:
-                self._protect(edge)
-            for edge in self.lines:
-                self._unprotect(edge)
+        for edge in new_lines:
+            self.manager.protect(edge)
+        for edge in self.lines:
+            self.manager.unprotect(edge)
         self.lines = new_lines
 
     def _checkpoint(self) -> None:
@@ -251,13 +251,6 @@ class BddSynthesisEngine:
             self.built_depth += 1
             self._checkpoint()
 
-    def _compact(self) -> None:
-        roots = list(self.lines) + list(self.on_bdds) + list(self.dc_bdds)
-        remapped = self.manager.compact(roots)
-        self.lines = remapped[:self.n]
-        self.on_bdds = remapped[self.n:2 * self.n]
-        self.dc_bdds = remapped[2 * self.n:]
-
     # -- monolithic (per-depth rebuild) state -------------------------------------
 
     def _build_monolithic(self, depth: int, deadline: _Deadline):
@@ -298,8 +291,7 @@ class BddSynthesisEngine:
                              cache_limit=self.cache_limit,
                              token=self.cancel_token)
         before = (self.manager.stats() if self.incremental
-                  else {"ite_calls": 0, "ite_cache_hits": 0,
-                        "quant_calls": 0, "quant_cache_hits": 0})
+                  else dict.fromkeys(_COUNTERS, 0))
         # The allocation tick fires the deadline check inside long apply
         # runs too (a single ITE can dwarf the per-gate ticks of
         # universal_gate_stage); uninstalled in the finally so a stale
@@ -321,9 +313,9 @@ class BddSynthesisEngine:
                         depth, deadline)
 
             if self.var_order == "yx":
-                # The fused recursion needs the quantified inputs at the
-                # top of the order; the Y-before-X ablation keeps the
-                # original two-step comparator + forall route.
+                # The row fold needs the quantified inputs at the top
+                # of the order; the Y-before-X ablation keeps the
+                # two-step comparator + forall route.
                 with obs.span("bdd.equality", depth=depth):
                     terms = []
                     for l in range(self.n):
@@ -351,8 +343,8 @@ class BddSynthesisEngine:
         metrics = self._metrics(before, manager)
         metrics["bdd.eq_size"] = detail["eq_size"]
         if solutions == FALSE:
-            if self.incremental and self.compact_between_depths:
-                self._compact()
+            if self.incremental:
+                self.manager.gc()
             return DepthOutcome(status="unsat", detail=detail, metrics=metrics)
 
         if self.reorder:
@@ -366,8 +358,8 @@ class BddSynthesisEngine:
         with obs.span("bdd.extract", depth=depth):
             outcome = self._extract(manager, y_vars, solutions, depth, detail,
                                     metrics)
-        if self.incremental and self.compact_between_depths:
-            self._compact()
+        if self.incremental:
+            self.manager.gc()
         return outcome
 
     def _metrics(self, before: Dict[str, int],
@@ -383,35 +375,27 @@ class BddSynthesisEngine:
         if manager is None:  # monolithic build timed out before a manager
             return {}
         now = manager.stats()
-        calls = now["ite_calls"] - before.get("ite_calls", 0)
-        hits = now["ite_cache_hits"] - before.get("ite_cache_hits", 0)
-        # The gc/reorder/bytes figures use .get defaults so the engine
-        # still runs against managers predating the v3 core (the
-        # benchmark harness injects the vendored v2 manager).
+        delta = {key: now[key] - before[key] for key in _COUNTERS}
+        calls = delta["ite_calls"]
+        hits = delta["ite_cache_hits"]
         return {
             "bdd.nodes": now["nodes"],
             "bdd.peak_nodes": now["peak_nodes"],
             "bdd.num_vars": now["num_vars"],
-            "bdd.bytes": now.get("bytes", 0),
+            "bdd.bytes": now["bytes"],
             "bdd.ite_calls": calls,
             "bdd.ite_cache_hits": hits,
             "bdd.ite_cache_misses": calls - hits,
             "bdd.ite_cache_entries": now["ite_cache_entries"],
-            "bdd.quant_calls": now["quant_calls"] - before.get("quant_calls", 0),
-            "bdd.quant_cache_hits": (now["quant_cache_hits"]
-                                     - before.get("quant_cache_hits", 0)),
+            "bdd.quant_calls": delta["quant_calls"],
+            "bdd.quant_cache_hits": delta["quant_cache_hits"],
             "bdd.quant_cache_entries": now["quant_cache_entries"],
             "bdd.cache_clears": now["cache_clears"],
-            "bdd.gc_runs": (now.get("gc_runs", 0)
-                            - before.get("gc_runs", 0)),
-            "bdd.gc_reclaimed": (now.get("gc_reclaimed", 0)
-                                 - before.get("gc_reclaimed", 0)),
-            "bdd.table_grows": (now.get("table_grows", 0)
-                                - before.get("table_grows", 0)),
-            "bdd.reorder_runs": (now.get("reorder_runs", 0)
-                                 - before.get("reorder_runs", 0)),
-            "bdd.reorder_swaps": (now.get("reorder_swaps", 0)
-                                  - before.get("reorder_swaps", 0)),
+            "bdd.gc_runs": delta["gc_runs"],
+            "bdd.gc_reclaimed": delta["gc_reclaimed"],
+            "bdd.table_grows": delta["table_grows"],
+            "bdd.reorder_runs": delta["reorder_runs"],
+            "bdd.reorder_swaps": delta["reorder_swaps"],
         }
 
     # -- solution extraction -------------------------------------------------------------

@@ -104,7 +104,7 @@ def synthesize_with_output_permutation(
     """
     if library is None:
         library = GateLibrary.from_kinds(spec.n_lines, kinds)
-    engine = BddSynthesisEngine(spec, library, compact_between_depths=False)
+    engine = BddSynthesisEngine(spec, library)
     n = spec.n_lines
     manager = engine.manager
     limit = max_gates if max_gates is not None else default_gate_limit(n)

@@ -77,29 +77,29 @@ class TestVariableOrderInvariants:
         assert manager.var_name(new) == "late"
 
 
-class TestCompactEdgeCases:
-    def test_compact_with_terminal_roots(self):
+class TestGcEdgeCases:
+    def test_gc_with_terminal_roots(self):
         manager = BddManager(2)
         manager.xor(manager.var(0), manager.var(1))  # garbage
-        roots = manager.compact([TRUE, FALSE])
-        assert roots == [TRUE, FALSE]
-        # v2 keeps a single terminal node; TRUE is its complement edge.
+        assert manager.gc([TRUE, FALSE]) > 0
+        # A single terminal node remains; TRUE is its complement edge.
         assert manager.node_count() == 1
 
-    def test_compact_twice_is_stable(self):
+    def test_gc_twice_is_stable(self):
         manager = BddManager(3)
         f = manager.from_minterms([0, 1, 2], [1, 3, 6])
-        (f1,) = manager.compact([f])
+        manager.gc([f])
         count = manager.node_count()
-        (f2,) = manager.compact([f1])
+        assert manager.gc([f]) == 0
         assert manager.node_count() == count
-        assert manager.count_models(f2, [0, 1, 2]) == 3
+        assert manager.count_models(f, [0, 1, 2]) == 3
 
-    def test_operations_after_compact_are_consistent(self):
+    def test_operations_after_gc_are_consistent(self):
         manager = BddManager(3)
         f = manager.from_minterms([0, 1, 2], [0, 5])
         g = manager.from_minterms([0, 1, 2], [5, 7])
-        f, g = manager.compact([f, g])
+        manager.xor(manager.var(0), manager.var(2))  # garbage
+        assert manager.gc([f, g]) > 0
         meet = manager.and_(f, g)
         assert manager.count_models(meet, [0, 1, 2]) == 1
         assert manager.sat_one(meet) is not None

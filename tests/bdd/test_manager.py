@@ -135,7 +135,7 @@ class TestStructure:
         assert manager.support(f) == {0, 2}
         assert manager.support(TRUE) == set()
 
-    def test_compact_preserves_functions(self):
+    def test_gc_preserves_protected_functions(self):
         manager = BddManager(3)
         f = manager.xor(manager.var(0), manager.var(1))
         g = manager.and_(manager.var(1), manager.var(2))
@@ -144,19 +144,20 @@ class TestStructure:
             manager.or_(manager.var(i), manager.not_(f))
         before_f = eval_all(manager, f, 3)
         before_g = eval_all(manager, g, 3)
-        new_f, new_g = manager.compact([f, g])
-        assert eval_all(manager, new_f, 3) == before_f
-        assert eval_all(manager, new_g, 3) == before_g
-        # Further operations still work after compaction.
-        assert manager.and_(new_f, new_g) == manager.and_(new_g, new_f)
+        with manager.protected(f, g):
+            assert manager.gc() > 0
+        assert eval_all(manager, f, 3) == before_f
+        assert eval_all(manager, g, 3) == before_g
+        # Further operations still work after collection.
+        assert manager.and_(f, g) == manager.and_(g, f)
 
-    def test_compact_shrinks_store(self):
+    def test_gc_shrinks_store(self):
         manager = BddManager(4)
         f = manager.var(0)
         for i in range(1, 4):
             manager.xor(f, manager.var(i))  # garbage
         before = manager.node_count()
-        manager.compact([f])
+        manager.gc([f])
         assert manager.node_count() < before
 
     def test_to_dot_contains_nodes_and_edges(self):

@@ -99,3 +99,109 @@ class TestAgainstBruteForce:
             got = manager.evaluate(result, {**assignment,
                                             **{v: False for v in quantified_vars}})
             assert got == expected
+
+
+class TestMatchForall:
+    """The row fold against the two-step route it replaces:
+    ``forall(conj(dc OR (out XNOR on)), X)`` over the same manager, so
+    equal functions are equal edges."""
+
+    M = 4  # select variables below the X block
+
+    def _instance(self, manager, rng, n, dont_cares):
+        xs = list(range(n))
+        rows = range(1 << n)
+        on_rows = [{r for r in rows if rng.random() < 0.5} for _ in xs]
+        if dont_cares:
+            dc_rows = [{r for r in rows if rng.random() < 0.3} for _ in xs]
+            if rng.random() < 0.5:
+                dc_rows[rng.randrange(n)] = set(rows)
+        else:
+            dc_rows = [set() for _ in xs]
+        on = [manager.from_minterms(xs, s) for s in on_rows]
+        dc = [manager.from_minterms(xs, s) for s in dc_rows]
+        # Plant a solution half the time: under one select cube every
+        # output agrees with the spec wherever it is specified.
+        planted = None
+        if rng.random() < 0.5:
+            planted = manager.minterm({y: rng.random() < 0.5
+                                       for y in range(n, n + self.M)})
+        everything = list(range(n + self.M))
+        outputs = []
+        for l in xs:
+            noise = manager.from_minterms(
+                everything, [t for t in range(1 << (n + self.M))
+                             if rng.random() < 0.5])
+            if planted is None:
+                outputs.append(noise)
+                continue
+            agree = manager.from_minterms(
+                xs, [r for r in rows if r in on_rows[l]
+                     or (r in dc_rows[l] and rng.random() < 0.5)])
+            outputs.append(manager.ite(planted, agree, noise))
+        return outputs, on, dc, planted
+
+    @staticmethod
+    def _two_step(manager, outputs, on, dc, n):
+        equality = manager.conj(
+            manager.or_(dc[l], manager.xnor(outputs[l], on[l]))
+            for l in range(n))
+        return manager.forall(equality, range(n))
+
+    def _check(self, n, dont_cares, use_kernel, sifted, seed):
+        from repro.bdd.tables import kernel_available
+        if use_kernel and not kernel_available():
+            pytest.skip("native kernel unavailable")
+        rng = random.Random(seed)
+        solutions = 0
+        for _ in range(12):
+            manager = BddManager(n + self.M, use_kernel=use_kernel)
+            outputs, on, dc, planted = self._instance(
+                manager, rng, n, dont_cares)
+            if sifted:
+                from repro.bdd.reorder import sift
+                for edge in (*outputs, *on, *dc):
+                    manager.protect(edge)
+                sift(manager, lower=n)
+                assert [manager._var_at_level[k] for k in range(n)] \
+                    == list(range(n))
+            got = manager.match_forall(outputs, on, dc, n)
+            assert got == self._two_step(manager, outputs, on, dc, n)
+            if planted is not None:
+                assert manager.and_(got, planted) == planted
+            solutions += got != FALSE
+        assert solutions > 0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("dont_cares", [False, True])
+    @pytest.mark.parametrize("use_kernel", [None, False])
+    def test_equals_two_step_route(self, n, dont_cares, use_kernel):
+        self._check(n, dont_cares, use_kernel, sifted=False, seed=n * 7)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equals_two_step_route_after_sifting(self, n):
+        self._check(n, True, None, sifted=True, seed=n * 11)
+
+    def test_true_dont_care_lines_are_skipped(self):
+        # Lines whose cover is the constant TRUE constrain nothing, and
+        # a spec with every line free is satisfied by any cascade.
+        manager = BddManager(3)
+        outputs = [manager.var(2), manager.and_(manager.var(0),
+                                                manager.var(2))]
+        on = [manager.var(0), manager.var(1)]
+        assert manager.match_forall(outputs, on, [TRUE, TRUE], 2) == TRUE
+        assert manager.match_forall(outputs, on, [FALSE, TRUE], 2) \
+            == FALSE
+
+    def test_counts_one_quantifier_call_per_folded_row(self):
+        manager = BddManager(3)
+        outputs = [manager.var(0), manager.var(1)]
+        on = [manager.var(0), manager.var(1)]
+        before = manager.quant_calls
+        assert manager.match_forall(outputs, on, [FALSE, FALSE], 2) == TRUE
+        assert manager.quant_calls - before == 4
+        # A mismatch on the first row ends the fold there.
+        wrong = [manager.var(0), manager.nvar(1)]
+        before = manager.quant_calls
+        assert manager.match_forall(wrong, on, [FALSE, FALSE], 2) == FALSE
+        assert manager.quant_calls - before == 1

@@ -234,8 +234,8 @@ class TestAllocTick:
 
 class TestStatsSemantics:
     """`stats()` counters are cumulative: cache maintenance never
-    rewinds them (the regression guarded here: clear_caches/compact used
-    to implicitly zero the miss derivation)."""
+    rewinds them (the regression guarded here: clear_caches and
+    collection used to implicitly zero the miss derivation)."""
 
     def _work(self, manager):
         f = manager.conj(manager.var(i) for i in range(4))
@@ -264,12 +264,12 @@ class TestStatsSemantics:
         self._work(manager)
         assert manager.stats()["ite_calls"] > after["ite_calls"]
 
-    def test_counters_survive_compact(self):
+    def test_counters_survive_gc(self):
         manager = BddManager(4)
         root = self._work(manager)
         manager.xor(root, manager.var(1))  # garbage to collect
         before = manager.stats()
-        (root2,) = manager.compact([root])
+        assert manager.gc([root]) > 0
         after = manager.stats()
         for key in ("ite_calls", "ite_cache_hits",
                     "quant_calls", "quant_cache_hits", "cache_clears"):
@@ -277,14 +277,14 @@ class TestStatsSemantics:
         assert after["ite_calls"] == before["ite_calls"]
         assert after["nodes"] <= before["nodes"]
         assert after["peak_nodes"] == before["peak_nodes"]
-        # The compacted root still denotes the same function.
+        # The surviving root still denotes the same function.
         assignment = {i: True for i in range(4)}
-        assert manager.evaluate(root2, assignment)
+        assert manager.evaluate(root, assignment)
 
     def test_peak_nodes_monotone(self):
         manager = BddManager(4)
         root = self._work(manager)
         peak = manager.stats()["peak_nodes"]
-        manager.compact([root])
+        manager.gc([root])
         assert manager.stats()["peak_nodes"] == peak
         assert manager.stats()["nodes"] <= peak

@@ -122,10 +122,11 @@ class TestExportedRecords:
         assert record["metrics"]["bdd.ite_cache_hits"] > 0
         assert record["metrics"]["bdd.peak_nodes"] > 2
         # Every tried depth reports its own work figures.  The depth-0
-        # query can run entirely inside the fused match/quantify
-        # recursion (terminal-level conjunctions bypass the apply
-        # cache), so the witness of per-depth work is the combined
-        # apply + quantifier call count, not ite_calls alone.
+        # query can run entirely inside match_forall's row fold
+        # (terminal-level conjunctions bypass the apply cache; each
+        # folded row counts as a quantifier call), so the witness of
+        # per-depth work is the combined apply + quantifier call count,
+        # not ite_calls alone.
         for step in record["per_depth"]:
             assert (step["metrics"]["bdd.ite_calls"]
                     + step["metrics"]["bdd.quant_calls"]) > 0

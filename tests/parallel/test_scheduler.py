@@ -115,3 +115,54 @@ def test_traced_span_trees_hold_only_their_own_task():
         roots = [line for line in tree.splitlines()
                  if not line.startswith(" ")]
         assert len(roots) == 1 and roots[0].startswith("suite.task")
+
+
+class _RepliesFirstPool:
+    """In-process stand-in for ``WorkerPool`` that runs each task on
+    ``send`` and hands a round's replies to ``wait`` ahead of its
+    deaths — the order in which a fast sibling finishes before the
+    crash is settled."""
+
+    def __init__(self, name, session):
+        self._next = 0
+        self._inbox = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
+    def spawn(self):
+        self._next += 1
+        return self._next - 1
+
+    def send(self, worker, task):
+        from repro.parallel.pool import Message
+        tomb = task.crash_once_file
+        if tomb is not None and not os.path.exists(tomb):
+            open(tomb, "w").close()
+            self._inbox.append(Message(worker, "died", -9, 0.0))
+        else:
+            self._inbox.append(Message(worker, "ok", (task.run(), None), 0.0))
+
+    def wait(self, timeout):
+        batch = sorted(self._inbox, key=lambda m: m.kind == "died")
+        self._inbox = []
+        return batch
+
+    def cancel(self):
+        pass
+
+
+def test_retry_runs_on_the_fresh_worker_when_a_sibling_replied_first(
+        tmp_path, monkeypatch):
+    import repro.parallel.scheduler as scheduler
+    monkeypatch.setattr(scheduler, "WorkerPool", _RepliesFirstPool)
+    tasks = _tasks(["toffoli", "decod24-v0"])
+    tasks[1].crash_once_file = str(tmp_path / "crash.tomb")
+    run = run_suite(tasks, workers=2)
+    healthy, crashed = run.reports
+    assert healthy.ok and healthy.worker_id == 0
+    assert crashed.ok and crashed.retried == 1
+    assert crashed.worker_id == 2  # the worker spawned for the retry

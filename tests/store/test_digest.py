@@ -65,7 +65,8 @@ def test_volatile_options_do_not_change_the_key():
     bdd = store_key(_spec(), _lib(), "bdd")
     for options in ({"reorder": 512}, {"reorder": True},
                     {"gc_threshold": 1000}, {"cache_limit": 10_000},
-                    {"compact_between_depths": False}):
+                    {"reorder": 512, "gc_threshold": 1000,
+                     "cache_limit": 10_000}):
         assert set(options) <= VOLATILE_OPTIONS
         assert store_key(_spec(), _lib(), "bdd",
                          engine_options=options) == bdd, options

@@ -182,14 +182,71 @@ class TestGuards:
         assert outcome.status == "unknown"
         assert outcome.detail.get("timeout") is True
 
-    def test_compaction_between_depths_keeps_results_valid(self):
-        with_compaction = BddSynthesisEngine(SPEC_317, GateLibrary.mct(3),
-                                             compact_between_depths=True)
-        without = BddSynthesisEngine(SPEC_317, GateLibrary.mct(3),
-                                     compact_between_depths=False)
+    def test_gc_between_depths_keeps_results_valid(self):
+        # The incremental engine collects after every depth; the
+        # monolithic one builds a fresh manager per depth and never does.
+        collected = BddSynthesisEngine(SPEC_317, GateLibrary.mct(3))
+        fresh = BddSynthesisEngine(SPEC_317, GateLibrary.mct(3),
+                                   incremental=False)
         for depth in range(7):
-            a = with_compaction.decide(depth)
-            b = without.decide(depth)
+            a = collected.decide(depth)
+            b = fresh.decide(depth)
             assert a.status == b.status
+            assert a.detail["eq_size"] == b.detail["eq_size"]
+        assert collected.manager.gc_runs == 7
         assert a.num_solutions == b.num_solutions
-        assert set(a.circuits) == set(b.circuits)
+        assert [str(c) for c in a.circuits] == [str(c) for c in b.circuits]
+
+
+class TestPinnedAnswers:
+    """Per-depth ``eq_size`` and the enumerated circuits, in order.
+
+    The figures were produced by the X-tree ``match_forall`` with
+    ``compact()`` between depths; the row fold with ``gc()`` between
+    depths must reproduce them exactly (the solution BDD is canonical,
+    and enumeration walks it in a fixed order).
+    """
+
+    PINNED = {
+        "3_17": ([1, 1, 1, 1, 1, 1, 91], [
+            "t([];[x0]) t([x0];[x2]) t([x2];[x1]) t([x1,x2];[x0]) "
+            "t([x0,x1];[x2]) t([];[x0])",
+            "t([x0];[x1]) t([x1,x2];[x0]) t([];[x2]) t([x2];[x1]) "
+            "t([x0];[x2]) t([x1,x2];[x0])",
+            "t([];[x2]) t([x0];[x2]) t([x2];[x1]) t([x1,x2];[x0]) "
+            "t([x1];[x2]) t([x0,x1];[x2])",
+            "t([];[x2]) t([x0];[x2]) t([x2];[x1]) t([x1,x2];[x0]) "
+            "t([x0,x1];[x2]) t([x1];[x2])",
+            "t([x0];[x2]) t([x1,x2];[x0]) t([];[x2]) t([x2];[x1]) "
+            "t([x0,x1];[x2]) t([x1];[x0])",
+            "t([x0];[x2]) t([];[x2]) t([x2];[x1]) t([x1,x2];[x0]) "
+            "t([x1];[x2]) t([x0,x1];[x2])",
+            "t([x0];[x2]) t([];[x2]) t([x2];[x1]) t([x1,x2];[x0]) "
+            "t([x0,x1];[x2]) t([x1];[x2])",
+        ]),
+        "mod5d1_s": ([1, 1, 1, 1, 1, 1, 68], [
+            "t([x1,x2];[x0]) t([x3];[x2]) t([x0,x2];[x3]) "
+            "t([x0,x2,x3];[x1]) t([x0,x1];[x2]) t([x1,x3];[x2])",
+            "t([x1,x2];[x0]) t([x3];[x2]) t([x0,x2];[x3]) "
+            "t([x0,x2,x3];[x1]) t([x1,x3];[x2]) t([x0,x1];[x2])",
+            "t([x1,x2];[x0]) t([x3];[x2]) t([x0,x2];[x3]) "
+            "t([x0,x1];[x2]) t([x1,x3];[x2]) t([x0,x2,x3];[x1])",
+            "t([x1,x2];[x0]) t([x3];[x2]) t([x0,x2];[x3]) "
+            "t([x1,x3];[x2]) t([x0,x1];[x2]) t([x0,x2,x3];[x1])",
+            "t([x1,x2];[x0]) t([x0,x1];[x3]) t([x3];[x2]) "
+            "t([x0,x2];[x3]) t([x1,x3];[x2]) t([x0,x2,x3];[x1])",
+        ]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_eq_sizes_and_circuits(self, name):
+        from repro.functions import get_spec
+        from repro.synth import synthesize
+        spec = get_spec(name)
+        result = synthesize(spec, engine="bdd")
+        eq_sizes, circuits = self.PINNED[name]
+        assert [d.metrics["bdd.eq_size"] for d in result.per_depth] \
+            == eq_sizes
+        n = spec.n_lines
+        assert [str(c) for c in result.circuits] \
+            == [f"Circuit(n={n}: {gates})" for gates in circuits]
