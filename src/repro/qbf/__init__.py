@@ -1,6 +1,5 @@
-"""QBF substrate: prenex QCNF, QDPLL and expansion solvers, oracle."""
+"""QBF substrate: prenex QCNF, QDPLL and expansion solvers."""
 
-from repro.qbf.bruteforce import brute_force_qbf
 from repro.qbf.expansion import (
     ExpansionBudgetExceeded,
     expand_to_cnf,
@@ -16,7 +15,6 @@ __all__ = [
     "QbfResult",
     "QdpllSolver",
     "QuantifiedCnf",
-    "brute_force_qbf",
     "expand_to_cnf",
     "solve_qbf",
     "solve_qbf_by_expansion",

@@ -1,9 +1,8 @@
-"""SAT substrate: CNF model, Tseitin transformation, CDCL and DPLL solvers."""
+"""SAT substrate: CNF model, Tseitin transformation, CDCL solver."""
 
 from repro.sat.cdcl import CdclSolver, SatResult, luby, solve_cnf
 from repro.sat.cnf import Cnf, clause_satisfied, evaluate_cnf
 from repro.sat.dimacs import from_dimacs, from_qdimacs, to_dimacs, to_qdimacs
-from repro.sat.dpll import dpll_solve
 from repro.sat.expr import Expr, ExprBuilder, expr_from_bdd
 from repro.sat.incremental import lexmin_model
 
@@ -15,7 +14,6 @@ __all__ = [
     "SatResult",
     "lexmin_model",
     "clause_satisfied",
-    "dpll_solve",
     "evaluate_cnf",
     "expr_from_bdd",
     "from_dimacs",

@@ -7,7 +7,8 @@ MiniSat architecture:
 
 * two-watched-literal unit propagation,
 * first-UIP conflict analysis with recursive clause minimization,
-* VSIDS decision heuristic with phase saving,
+* VSIDS decision heuristic with phase saving, over an indexed binary
+  max-heap of variables,
 * Luby-sequence restarts,
 * activity/LBD-guided learnt-clause database reduction,
 * incremental solving under assumptions: ``solve(assumptions=[...])``
@@ -16,14 +17,17 @@ MiniSat architecture:
   inconsistent; ``add_clause`` extends the formula between calls while
   learnt clauses, VSIDS activity and saved phases survive.
 
-Literals use the DIMACS convention throughout (``v`` / ``-v``).
+The public API speaks DIMACS literals (``v`` / ``-v``): clauses,
+assumptions, the model and the core.  Inside the solver a literal is
+*coded* as ``2v`` (positive) or ``2v + 1`` (negative), so negation is
+``code ^ 1``, the variable is ``code >> 1``, and the value array and the
+watch lists are plain lists indexed by the code.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sat.cnf import Cnf
@@ -44,6 +48,16 @@ def luby(index: int) -> int:
         if (1 << k) - 1 == index:
             return 1 << (k - 1)
         index -= (1 << (k - 1)) - 1
+
+
+def _code(lit: int) -> int:
+    """DIMACS literal -> internal code."""
+    return 2 * lit if lit > 0 else 1 - 2 * lit
+
+
+def _dimacs(code: int) -> int:
+    """Internal code -> DIMACS literal."""
+    return -(code >> 1) if code & 1 else code >> 1
 
 
 @dataclass
@@ -82,7 +96,7 @@ class SatResult:
 
 
 class _Clause:
-    """Clause container; the first two literals are the watched ones."""
+    """Clause container over coded literals; the first two are watched."""
 
     __slots__ = ("literals", "learnt", "activity", "lbd")
 
@@ -101,26 +115,36 @@ class CdclSolver:
     caller may interleave :meth:`add_clause` / :meth:`ensure_vars` with
     further ``solve(assumptions=...)`` calls and every learnt clause,
     activity score and saved phase carries over.
+
+    Decisions take the unassigned variable of highest activity, the
+    smallest index on ties.  The decision heap holds every unassigned
+    variable (plus assigned ones not yet popped) ordered that way; its
+    position array lets a bump sift a variable up in place and lets
+    backtracking re-insert only the variables that are absent.
     """
 
     def __init__(self, cnf: Optional[Cnf] = None):
         self.nv = 0
-        self.assign: List[int] = [_UNDEF]
+        # Per literal code (index 0/1 is the unused variable 0).
+        self.value: List[int] = [_UNDEF, _UNDEF]
+        self.watches: List[List[_Clause]] = [[], []]
+        # Per variable.
         self.level: List[int] = [0]
         self.reason: List[Optional[_Clause]] = [None]
+        self.activity: List[float] = [0.0]
+        self.saved_phase: List[bool] = [False]
+        self._seen: List[bool] = [False]
+        self._heap: List[int] = []
+        self._heap_pos: List[int] = [-1]
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
-        self.watches: Dict[int, List[_Clause]] = {}
         self.clauses: List[_Clause] = []
         self.learnts: List[_Clause] = []
-        self.activity: List[float] = [0.0]
-        self.saved_phase: List[bool] = [False]
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.cla_inc = 1.0
         self.cla_decay = 0.999
-        self._order: List[Tuple[float, int]] = []
         self._contradiction = False
         self.stats = SatResult(status="unknown")
         if cnf is not None:
@@ -135,13 +159,16 @@ class CdclSolver:
         if num_vars <= self.nv:
             return
         grow = num_vars - self.nv
-        self.assign.extend([_UNDEF] * grow)
+        self.value.extend([_UNDEF] * (2 * grow))
+        self.watches.extend([] for _ in range(2 * grow))
         self.level.extend([0] * grow)
         self.reason.extend([None] * grow)
         self.activity.extend([0.0] * grow)
         self.saved_phase.extend([False] * grow)
+        self._seen.extend([False] * grow)
+        self._heap_pos.extend([-1] * grow)
         for v in range(self.nv + 1, num_vars + 1):
-            heappush(self._order, (0.0, v))
+            self._heap_insert(v)
         self.nv = num_vars
 
     def new_var(self) -> int:
@@ -156,6 +183,81 @@ class CdclSolver:
     @property
     def num_learnts(self) -> int:
         return len(self.learnts)
+
+    # -- decision heap -------------------------------------------------------------
+
+    def _sift_up(self, index: int) -> None:
+        heap = self._heap
+        pos = self._heap_pos
+        act = self.activity
+        var = heap[index]
+        score = act[var]
+        while index > 0:
+            parent = (index - 1) >> 1
+            above = heap[parent]
+            above_score = act[above]
+            if above_score > score or (above_score == score and above < var):
+                break
+            heap[index] = above
+            pos[above] = index
+            index = parent
+        heap[index] = var
+        pos[var] = index
+
+    def _sift_down(self, index: int) -> None:
+        heap = self._heap
+        pos = self._heap_pos
+        act = self.activity
+        size = len(heap)
+        var = heap[index]
+        score = act[var]
+        while True:
+            child = 2 * index + 1
+            if child >= size:
+                break
+            below = heap[child]
+            below_score = act[below]
+            right = child + 1
+            if right < size:
+                other = heap[right]
+                other_score = act[other]
+                if other_score > below_score or (other_score == below_score
+                                                 and other < below):
+                    child, below, below_score = right, other, other_score
+            if score > below_score or (score == below_score and var < below):
+                break
+            heap[index] = below
+            pos[below] = index
+            index = child
+        heap[index] = var
+        pos[var] = index
+
+    def _heap_insert(self, var: int) -> None:
+        self._heap.append(var)
+        self._sift_up(len(self._heap) - 1)
+
+    def _heap_pop(self) -> int:
+        heap = self._heap
+        top = heap[0]
+        last = heap.pop()
+        self._heap_pos[top] = -1
+        if heap:
+            heap[0] = last
+            self._sift_down(0)
+        return top
+
+    def _rescale_activity(self) -> None:
+        """Scale every activity by 1e-100 and restore the heap order.
+
+        Scaling is monotone but may round distinct scores to one value,
+        so the heap is re-sifted rather than assumed still ordered.
+        """
+        act = self.activity
+        for v in range(1, self.nv + 1):
+            act[v] *= 1e-100
+        self.var_inc *= 1e-100
+        for index in range(len(self._heap) // 2 - 1, -1, -1):
+            self._sift_down(index)
 
     # -- clause management -------------------------------------------------------
 
@@ -181,13 +283,14 @@ class CdclSolver:
                 return True  # tautology
             if lit in seen:
                 continue
-            value = self._lit_value(lit)
+            code = _code(lit)
+            value = self.value[code]
             if value == _TRUE:
                 return True  # root-satisfied
             if value == _FALSE:
                 continue  # root-false literal drops out
             seen.add(lit)
-            cleaned.append(lit)
+            cleaned.append(code)
         if not cleaned:
             self._contradiction = True
             return False
@@ -202,43 +305,40 @@ class CdclSolver:
         return True
 
     def _watch(self, clause: _Clause) -> None:
-        self.watches.setdefault(clause.literals[0], []).append(clause)
-        self.watches.setdefault(clause.literals[1], []).append(clause)
+        self.watches[clause.literals[0]].append(clause)
+        self.watches[clause.literals[1]].append(clause)
 
     # -- assignment --------------------------------------------------------------
 
-    def _lit_value(self, lit: int) -> int:
-        value = self.assign[abs(lit)]
-        if value == _UNDEF:
-            return _UNDEF
-        return value if lit > 0 else -value
-
-    def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
-        current = self._lit_value(lit)
+    def _enqueue(self, code: int, reason: Optional[_Clause]) -> bool:
+        current = self.value[code]
         if current == _TRUE:
             return True
         if current == _FALSE:
             return False
-        var = abs(lit)
-        self.assign[var] = _TRUE if lit > 0 else _FALSE
+        var = code >> 1
+        self.value[code] = _TRUE
+        self.value[code ^ 1] = _FALSE
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
-        self.saved_phase[var] = lit > 0
-        self.trail.append(lit)
+        self.saved_phase[var] = not code & 1
+        self.trail.append(code)
         return True
 
-    def _decision_level(self) -> int:
-        return len(self.trail_lim)
-
     def _cancel_until(self, target_level: int) -> None:
-        if self._decision_level() <= target_level:
+        if len(self.trail_lim) <= target_level:
             return
+        value = self.value
+        reason = self.reason
+        pos = self._heap_pos
         boundary = self.trail_lim[target_level]
-        for lit in reversed(self.trail[boundary:]):
-            var = abs(lit)
-            self.assign[var] = _UNDEF
-            self.reason[var] = None
-            heappush(self._order, (-self.activity[var], var))
+        for code in reversed(self.trail[boundary:]):
+            var = code >> 1
+            value[code] = _UNDEF
+            value[code ^ 1] = _UNDEF
+            reason[var] = None
+            if pos[var] < 0:
+                self._heap_insert(var)
         del self.trail[boundary:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
@@ -246,108 +346,141 @@ class CdclSolver:
     # -- propagation -----------------------------------------------------------------
 
     def _propagate(self) -> Optional[_Clause]:
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.stats.propagations += 1
-            falsified = -lit
-            watchers = self.watches.get(falsified)
-            if not watchers:
+        """Unit propagation; returns the conflicting clause, if any.
+
+        Each watch list is compacted in place: clauses that keep their
+        watch are written back in their original order, clauses whose
+        watch moved are appended to the new literal's list.
+        """
+        trail = self.trail
+        value = self.value
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        phase = self.saved_phase
+        depth = len(self.trail_lim)
+        start = qhead = self.qhead
+        conflict: Optional[_Clause] = None
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watchers = watches[false_lit]
+            size = len(watchers)
+            if not size:
                 continue
-            kept: List[_Clause] = []
-            conflict: Optional[_Clause] = None
-            index = 0
-            while index < len(watchers):
-                clause = watchers[index]
-                index += 1
+            read = kept = 0
+            while read < size:
+                clause = watchers[read]
+                read += 1
                 lits = clause.literals
                 # Normalize so the falsified literal sits at position 1.
-                if lits[0] == falsified:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._lit_value(first) == _TRUE:
-                    kept.append(clause)
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                if value[first] == _TRUE:
+                    watchers[kept] = clause
+                    kept += 1
                     continue
                 # Look for a new literal to watch.
-                moved = False
                 for k in range(2, len(lits)):
-                    if self._lit_value(lits[k]) != _FALSE:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self.watches.setdefault(lits[1], []).append(clause)
-                        moved = True
+                    lit = lits[k]
+                    if value[lit] != _FALSE:
+                        lits[1] = lit
+                        lits[k] = false_lit
+                        watches[lit].append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(clause)
-                if not self._enqueue(first, clause):
-                    conflict = clause
-                    kept.extend(watchers[index:])
-                    break
-            self.watches[falsified] = kept
+                else:
+                    watchers[kept] = clause
+                    kept += 1
+                    if value[first] == _FALSE:
+                        conflict = clause
+                        while read < size:
+                            watchers[kept] = watchers[read]
+                            kept += 1
+                            read += 1
+                        break
+                    var = first >> 1
+                    value[first] = _TRUE
+                    value[first ^ 1] = _FALSE
+                    level[var] = depth
+                    reason[var] = clause
+                    phase[var] = not first & 1
+                    trail.append(first)
+            del watchers[kept:]
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self.qhead = qhead
+        self.stats.propagations += qhead - start
+        return conflict
 
     # -- conflict analysis ----------------------------------------------------------------
 
-    def _bump_var(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for v in range(1, self.nv + 1):
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-
-    def _bump_clause(self, clause: _Clause) -> None:
-        clause.activity += self.cla_inc
-        if clause.activity > 1e20:
-            for c in self.learnts:
-                c.activity *= 1e-20
-            self.cla_inc *= 1e-20
-
     def _analyze(self, conflict: _Clause) -> Tuple[List[int], int]:
         """First-UIP learning; returns (learnt clause, backjump level)."""
+        seen = self._seen
+        level = self.level
+        reasons = self.reason
+        trail = self.trail
+        act = self.activity
+        pos = self._heap_pos
+        var_inc = self.var_inc
+        cla_inc = self.cla_inc
         learnt: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self.nv + 1)
         counter = 0
-        lit = 0
+        resolved = -1  # the trail literal whose reason is being read
         reason: Optional[_Clause] = conflict
-        trail_index = len(self.trail) - 1
-        current_level = self._decision_level()
+        trail_index = len(trail) - 1
+        current_level = len(self.trail_lim)
 
         while True:
             assert reason is not None
-            self._bump_clause(reason)
+            reason.activity += cla_inc
+            if reason.activity > 1e20:
+                for c in self.learnts:
+                    c.activity *= 1e-20
+                self.cla_inc *= 1e-20
+                cla_inc = self.cla_inc
             for q in reason.literals:
-                # Skip the literal this clause asserted (the trail literal
-                # itself); ``lit`` holds its negation, 0 on the first pass.
-                if q == -lit:
+                # Skip the literal this clause asserted.
+                if q == resolved:
                     continue
-                var = abs(q)
-                if not seen[var] and self.level[var] > 0:
+                var = q >> 1
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self._bump_var(var)
-                    if self.level[var] >= current_level:
+                    score = act[var] + var_inc
+                    act[var] = score
+                    if score > 1e100:
+                        self._rescale_activity()
+                        var_inc = self.var_inc
+                    elif pos[var] >= 0:
+                        self._sift_up(pos[var])
+                    if level[var] >= current_level:
                         counter += 1
                     else:
                         learnt.append(q)
             # pick next literal on the trail at the current level
-            while not seen[abs(self.trail[trail_index])]:
+            while not seen[trail[trail_index] >> 1]:
                 trail_index -= 1
-            lit = -self.trail[trail_index]
+            resolved = trail[trail_index]
             trail_index -= 1
-            seen[abs(lit)] = False
+            seen[resolved >> 1] = False
             counter -= 1
             if counter == 0:
                 break
-            reason = self.reason[abs(lit)]
-        learnt[0] = lit
+            reason = reasons[resolved >> 1]
+        learnt[0] = resolved ^ 1
 
-        # Conflict-clause minimization: drop literals implied by the rest.
-        marked = {abs(q) for q in learnt}
+        # Conflict-clause minimization: drop literals implied by the
+        # rest.  ``seen`` marks exactly the learnt clause's variables.
+        seen[resolved >> 1] = True
         minimized = [learnt[0]]
         for q in learnt[1:]:
-            if not self._redundant(q, marked, seen_depth=0):
+            if not self._redundant(q):
                 minimized.append(q)
+        for q in learnt:
+            seen[q >> 1] = False
         learnt = minimized
 
         if len(learnt) == 1:
@@ -356,23 +489,26 @@ class CdclSolver:
             # Second-highest decision level in the clause.
             max_index = 1
             for k in range(2, len(learnt)):
-                if self.level[abs(learnt[k])] > self.level[abs(learnt[max_index])]:
+                if level[learnt[k] >> 1] > level[learnt[max_index] >> 1]:
                     max_index = k
             learnt[1], learnt[max_index] = learnt[max_index], learnt[1]
-            backjump = self.level[abs(learnt[1])]
+            backjump = level[learnt[1] >> 1]
         return learnt, backjump
 
-    def _redundant(self, lit: int, marked: set, seen_depth: int) -> bool:
-        """Is ``lit`` implied by the other marked literals (local check)?"""
-        if seen_depth > 16:
-            return False
-        reason = self.reason[abs(lit)]
+    def _redundant(self, code: int) -> bool:
+        """Is ``code`` implied by the other learnt literals (local check)?
+
+        The learnt clause's variables are the ones marked in ``_seen``.
+        """
+        var = code >> 1
+        reason = self.reason[var]
         if reason is None:
             return False
+        seen = self._seen
+        level = self.level
         for q in reason.literals:
-            if abs(q) == abs(lit):
-                continue
-            if self.level[abs(q)] == 0 or abs(q) in marked:
+            other = q >> 1
+            if other == var or level[other] == 0 or seen[other]:
                 continue
             return False
         return True
@@ -380,44 +516,45 @@ class CdclSolver:
     def _final_conflict(self, failed: int) -> List[int]:
         """MiniSat ``analyzeFinal``: assumptions implying ``-failed``.
 
-        Called when replaying assumption ``failed`` finds it already
-        false.  Walks the trail's implication reasons back to the
-        assumption decisions and returns the subset of assumption
-        literals (including ``failed``) whose conjunction is
-        contradictory with the formula.
+        Called when replaying the assumption coded ``failed`` finds it
+        already false.  Walks the trail's implication reasons back to
+        the assumption decisions and returns the subset of assumption
+        literals (including ``failed``, all in DIMACS form) whose
+        conjunction is contradictory with the formula.
         """
-        core = [failed]
+        core = [_dimacs(failed)]
         if not self.trail_lim:
             return core
         seen = [False] * (self.nv + 1)
-        seen[abs(failed)] = True
+        seen[failed >> 1] = True
         for index in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
-            lit = self.trail[index]
-            var = abs(lit)
+            code = self.trail[index]
+            var = code >> 1
             if not seen[var]:
                 continue
             reason = self.reason[var]
             if reason is None:
                 # A decision inside the assumption prefix is an
                 # assumption literal itself.
-                if self.level[var] > 0 and lit != failed:
-                    core.append(lit)
+                if self.level[var] > 0 and code != failed:
+                    core.append(_dimacs(code))
             else:
                 for q in reason.literals:
-                    if abs(q) != var and self.level[abs(q)] > 0:
-                        seen[abs(q)] = True
+                    if q >> 1 != var and self.level[q >> 1] > 0:
+                        seen[q >> 1] = True
             seen[var] = False
         return core
 
     def _compute_lbd(self, literals: Sequence[int]) -> int:
-        return len({self.level[abs(lit)] for lit in literals})
+        return len({self.level[code >> 1] for code in literals})
 
     # -- decisions --------------------------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
-        while self._order:
-            _, var = heappop(self._order)
-            if self.assign[var] == _UNDEF:
+        value = self.value
+        while self._heap:
+            var = self._heap_pop()
+            if value[2 * var] == _UNDEF:
                 return var
         return 0
 
@@ -426,17 +563,23 @@ class CdclSolver:
     def _reduce_db(self) -> None:
         self.learnts.sort(key=lambda c: (c.lbd, -c.activity))
         keep = len(self.learnts) // 2
-        locked = {id(self.reason[abs(lit)]) for lit in self.trail
-                  if self.reason[abs(lit)] is not None}
+        locked = {id(self.reason[code >> 1]) for code in self.trail
+                  if self.reason[code >> 1] is not None}
         retained: List[_Clause] = []
+        dropped = set()
+        touched = set()
         for index, clause in enumerate(self.learnts):
             if index < keep or len(clause.literals) <= 2 or id(clause) in locked:
                 retained.append(clause)
             else:
-                for watch_lit in clause.literals[:2]:
-                    bucket = self.watches.get(watch_lit)
-                    if bucket is not None and clause in bucket:
-                        bucket.remove(clause)
+                dropped.add(id(clause))
+                touched.update(clause.literals[:2])
+        # One order-keeping filter per affected watch list; the dropped
+        # clauses are still referenced from ``self.learnts`` here, so
+        # their ids cannot be reused.
+        for code in touched:
+            self.watches[code] = [c for c in self.watches[code]
+                                  if id(c) not in dropped]
         self.learnts = retained
 
     # -- main loop ---------------------------------------------------------------------------------
@@ -464,16 +607,19 @@ class CdclSolver:
         start = time.perf_counter()
         if tick is not None:
             tick()
-        assumed: List[int] = list(assumptions) if assumptions else []
-        for lit in assumed:
+        assumed: List[int] = []
+        for lit in assumptions or ():
             if lit == 0:
                 raise ValueError("assumption literal must be non-zero")
             self.ensure_vars(abs(lit))
+            assumed.append(_code(lit))
         stats = SatResult(status="unknown")
         # ``_propagate`` counts through ``self.stats``; repointing it at
         # the fresh object is what makes consecutive calls return
         # independent statistics.
         self.stats = stats
+        value = self.value
+        trail_lim = self.trail_lim
         try:
             if self._contradiction:
                 stats.status = "unsat"
@@ -503,7 +649,7 @@ class CdclSolver:
                 if conflict is not None:
                     stats.conflicts += 1
                     conflicts_since_restart += 1
-                    if self._decision_level() == 0:
+                    if not trail_lim:
                         self._contradiction = True
                         stats.status = "unsat"
                         stats.core = []
@@ -547,14 +693,13 @@ class CdclSolver:
                     # may have unwound some of them).
                     next_lit = 0
                     failed = 0
-                    while self._decision_level() < len(assumed):
-                        p = assumed[self._decision_level()]
-                        value = self._lit_value(p)
-                        if value == _TRUE:
+                    while len(trail_lim) < len(assumed):
+                        p = assumed[len(trail_lim)]
+                        if value[p] == _TRUE:
                             # Already implied: dummy level keeps the
                             # level<->assumption-index correspondence.
-                            self.trail_lim.append(len(self.trail))
-                        elif value == _FALSE:
+                            trail_lim.append(len(self.trail))
+                        elif value[p] == _FALSE:
                             failed = p
                             break
                         else:
@@ -569,15 +714,16 @@ class CdclSolver:
                         if var == 0:
                             stats.status = "sat"
                             stats.model = {
-                                v: self.assign[v] == _TRUE
-                                if self.assign[v] != _UNDEF
+                                v: value[2 * v] == _TRUE
+                                if value[2 * v] != _UNDEF
                                 else self.saved_phase[v]
                                 for v in range(1, self.nv + 1)
                             }
                             break
                         stats.decisions += 1
-                        next_lit = var if self.saved_phase[var] else -var
-                    self.trail_lim.append(len(self.trail))
+                        next_lit = 2 * var if self.saved_phase[var] \
+                            else 2 * var + 1
+                    trail_lim.append(len(self.trail))
                     self._enqueue(next_lit, None)
         finally:
             # Leave the solver at the root level so the caller can add

@@ -146,8 +146,9 @@ class QbfSolverEngine:
         builder.assert_true(builder.and_(terms))
 
         flat_select = [v for block in select_vars for v in block]
+        quantified = set(flat_select).union(x_vars)
         auxiliaries = [v for v in range(1, cnf.num_vars + 1)
-                       if v not in set(flat_select) and v not in set(x_vars)]
+                       if v not in quantified]
         prefix = []
         if flat_select:
             prefix.append((EXISTS, flat_select))

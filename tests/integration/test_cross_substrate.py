@@ -12,7 +12,7 @@ import pytest
 from repro.core.circuit import Circuit
 from repro.core.library import GateLibrary
 from repro.core.spec import Specification
-from repro.qbf.bruteforce import brute_force_qbf
+from tests.qbf.bruteforce import brute_force_qbf
 from repro.qbf.qdpll import solve_qbf
 from repro.synth.bdd_engine import BddSynthesisEngine
 from repro.synth.qbf_engine import QbfSolverEngine

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.qbf.bruteforce import brute_force_qbf
+from tests.qbf.bruteforce import brute_force_qbf
 from repro.qbf.expansion import solve_qbf_by_expansion
 from repro.qbf.qcnf import QuantifiedCnf
 from repro.qbf.qdpll import solve_qbf

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.qbf.bruteforce import brute_force_qbf
+from tests.qbf.bruteforce import brute_force_qbf
 from repro.qbf.expansion import (
     ExpansionBudgetExceeded,
     expand_to_cnf,

@@ -6,7 +6,7 @@ import pytest
 
 from repro.sat.cdcl import CdclSolver, luby, solve_cnf
 from repro.sat.cnf import Cnf, evaluate_cnf
-from repro.sat.dpll import dpll_solve
+from tests.sat.dpll import dpll_solve
 
 
 def brute_force_sat(cnf):
@@ -147,3 +147,111 @@ class TestStats:
         assert result.decisions > 0
         assert result.propagations > 0
         assert result.runtime >= 0
+
+
+def assert_heap_valid(solver):
+    """Each variable at most once, positions consistent, and every
+    parent ahead of its children: higher activity, smaller index on ties."""
+    heap, pos, act = solver._heap, solver._heap_pos, solver.activity
+    assert len(heap) <= solver.nv
+    assert len(set(heap)) == len(heap)
+    for index, var in enumerate(heap):
+        assert pos[var] == index
+        if index:
+            parent = heap[(index - 1) // 2]
+            assert (-act[parent], parent) < (-act[var], var)
+    assert sum(1 for p in pos[1:] if p >= 0) == len(heap)
+
+
+def bump(solver, var, amount):
+    """Raise an activity the way conflict analysis does."""
+    solver.activity[var] += amount
+    if solver._heap_pos[var] >= 0:
+        solver._sift_up(solver._heap_pos[var])
+
+
+class TestDecisionHeap:
+    def test_heap_holds_each_variable_once_after_solves(self):
+        solver = CdclSolver(pigeonhole(5))
+        assert solver.solve().is_unsat
+        assert_heap_valid(solver)
+        rng = random.Random(7)
+        solver = CdclSolver(Cnf(40))
+        for _ in range(170):
+            clause = rng.sample(range(1, 41), 3)
+            solver.add_clause([v if rng.random() < 0.5 else -v
+                               for v in clause])
+        for _ in range(10):
+            assumed = [v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, 41), 4)]
+            solver.solve(assumptions=assumed)
+            assert_heap_valid(solver)
+            # Every variable not fixed at the root is a candidate again.
+            free = [v for v in range(1, 41) if solver.value[2 * v] == 0]
+            assert all(solver._heap_pos[v] >= 0 for v in free)
+
+    def test_engine_session_heap_stays_bounded(self):
+        from repro.core.library import GateLibrary
+        from repro.functions import get_spec
+        from repro.synth.sat_engine import SatBaselineEngine
+
+        spec = get_spec("3_17")
+        engine = SatBaselineEngine(spec, GateLibrary.mct(spec.n_lines))
+        assert engine.begin_session()
+        for depth in range(7):
+            engine.decide(depth)
+            assert_heap_valid(engine._session.solver)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pick_order_is_activity_then_index(self, seed):
+        rng = random.Random(seed)
+        n = 60
+        solver = CdclSolver(Cnf(n))
+        # Few distinct scores, so ties are common.
+        for var in rng.sample(range(1, n + 1), n):
+            bump(solver, var, rng.choice([0.0, 1.0, 2.0, 2.5, 4.0]))
+        expected = sorted(range(1, n + 1),
+                          key=lambda v: (-solver.activity[v], v))
+        assert [solver._pick_branch_var() for _ in range(n)] == expected
+        assert solver._pick_branch_var() == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pick_order_under_bumps_and_reinsertion(self, seed):
+        rng = random.Random(100 + seed)
+        n = 50
+        solver = CdclSolver(Cnf(n))
+        popped = []
+        for _ in range(200):
+            for var in rng.sample(range(1, n + 1), 5):
+                bump(solver, var, rng.choice([0.5, 1.0, 3.0]))
+            if popped and rng.random() < 0.4:
+                for var in popped:
+                    solver._heap_insert(var)
+                popped.clear()
+            if solver._heap:
+                best = min(solver._heap,
+                           key=lambda v: (-solver.activity[v], v))
+                popped.append(solver._heap_pop())
+                assert popped[-1] == best
+            assert_heap_valid(solver)
+
+    def test_rescale_keeps_order(self):
+        solver = CdclSolver(Cnf(6))
+        for var, score in ((2, 1e-250), (5, 7e99), (6, 3e99)):
+            bump(solver, var, score)
+        # Variable 2 sits above variable 1 (heap index 1 over index 4)
+        # until its score underflows to 0.0 when scaled; the tie must
+        # then go to the smaller index.
+        assert solver._heap == [5, 2, 6, 4, 1, 3]
+        solver._rescale_activity()
+        assert solver.activity[2] == solver.activity[1] == 0.0
+        assert_heap_valid(solver)
+        assert [solver._pick_branch_var() for _ in range(6)] == \
+            [5, 6, 1, 2, 3, 4]
+
+    def test_rescale_during_search(self):
+        solver = CdclSolver(pigeonhole(5))
+        solver.var_inc = 1e98  # the first bumps cross 1e100
+        assert solver.solve().is_unsat
+        assert solver.var_inc < 1e98
+        assert_heap_valid(solver)

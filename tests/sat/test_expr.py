@@ -7,7 +7,7 @@ import pytest
 
 from repro.bdd.manager import BddManager
 from repro.sat.cnf import Cnf, evaluate_cnf
-from repro.sat.dpll import dpll_solve
+from tests.sat.dpll import dpll_solve
 from repro.sat.expr import ExprBuilder, expr_from_bdd
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.sat.cdcl import solve_cnf
 from repro.sat.cnf import Cnf, evaluate_cnf
-from repro.sat.dpll import dpll_solve
+from tests.sat.dpll import dpll_solve
 
 N_VARS = 6
 

@@ -14,7 +14,10 @@ from repro.serve.protocol import MAX_FRAME_BYTES, ProtocolError
 def _serve_frames(payloads):
     """One-shot TCP server thread feeding raw bytes to a single client.
 
-    Returns the address string to connect to.
+    Returns ``(address, thread)``.  The thread closes its connection and
+    listener once the client hangs up; a test closes its client and
+    joins the thread before it returns, so those closes cannot land in
+    a later test's fd snapshot.
     """
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
@@ -22,23 +25,30 @@ def _serve_frames(payloads):
     _, port = listener.getsockname()
 
     def run():
-        conn, _ = listener.accept()
-        with conn:
-            for payload in payloads:
-                conn.sendall(payload)
-            # Hold the socket open until the client hangs up so reads
-            # block on framing, not on EOF.
-            conn.settimeout(5.0)
-            try:
-                while conn.recv(4096):
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                try:
+                    for payload in payloads:
+                        conn.sendall(payload)
+                    # Hold the socket open until the client hangs up so
+                    # reads block on framing, not on EOF.
+                    conn.settimeout(5.0)
+                    while conn.recv(4096):
+                        pass
+                except OSError:
                     pass
-            except OSError:
-                pass
-        listener.close()
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
-    return f"127.0.0.1:{port}"
+    return f"127.0.0.1:{port}", thread
+
+
+def _finish(client, thread):
+    """Close the client and wait for the server thread to release its fds."""
+    client.close()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
 
 
 def _hello():
@@ -52,29 +62,32 @@ def _open_fds():
 
 class TestReadFrame:
     def test_normal_frames_round_trip(self):
-        address = _serve_frames(
+        address, thread = _serve_frames(
             [_hello(), b'{"type": "pong", "id": 1}\n'])
         client = ServeClient(address, timeout=5.0)
         assert client.hello["type"] == "hello"
         assert client.ping() is True
-        client.close()
+        _finish(client, thread)
 
     def test_oversized_frame_raises_protocol_error(self):
         # An overlong line would previously come back truncated, and the
         # next read resumed mid-frame — JSONDecodeError, stream desynced.
         big = b'{"type": "x", "pad": "' + b"a" * MAX_FRAME_BYTES + b'"}\n'
-        address = _serve_frames([_hello(), big])
+        address, thread = _serve_frames([_hello(), big])
         client = ServeClient(address, timeout=5.0)
         with pytest.raises(ProtocolError, match="exceeds"):
             client._read_frame()
         # The connection was failed, not left half-read.
         assert client._sock.fileno() == -1
+        _finish(client, thread)
 
     def test_frame_at_limit_without_newline_is_rejected(self):
-        address = _serve_frames([_hello(), b"x" * (MAX_FRAME_BYTES + 2)])
+        address, thread = _serve_frames(
+            [_hello(), b"x" * (MAX_FRAME_BYTES + 2)])
         client = ServeClient(address, timeout=5.0)
         with pytest.raises(ProtocolError):
             client._read_frame()
+        _finish(client, thread)
 
 
 class TestConnect:
