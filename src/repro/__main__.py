@@ -7,7 +7,7 @@ Commands
               the cheapest one as RevLib ``.real``.  ``--portfolio``
               races every engine in worker processes and keeps the
               first finisher; ``--workers N`` pipelines depth queries
-              for the stateless engines (see ``docs/parallelism.md``).
+              for the pipelined engines (see ``docs/parallelism.md``).
 ``suite``     run a batch of (benchmark, engine) tasks over a
               crash-isolated process pool, appending one run record per
               task to a JSONL trace.

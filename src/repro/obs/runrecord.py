@@ -22,7 +22,7 @@ import time
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["RUN_RECORD_FORMAT", "RUN_RECORD_SCHEMA", "VOLATILE_RECORD_FIELDS",
-           "VOLATILE_METRIC_KEYS",
+           "VOLATILE_METRIC_KEYS", "RESULT_PROVENANCE_FIELDS",
            "build_run_record", "canonical_record",
            "append_record", "append_jsonl_line", "read_jsonl",
            "iter_records", "read_records", "read_trace",
@@ -35,7 +35,10 @@ _METRICS_SCHEMA = {"type": "object", "additionalProperties": {"type": "number"}}
 #: JSON-Schema (draft-subset) description of one run record.  The
 #: supported keywords are exactly those :func:`validate_run_record`
 #: implements: type, enum, required, properties, additionalProperties,
-#: items, minimum.
+#: items, minimum.  ``"volatile": True`` marks a top-level field that
+#: legitimately differs between two runs of the same task (wall-clock
+#: times, placement, cache luck); the validator ignores it, and
+#: :data:`VOLATILE_RECORD_FIELDS` is derived from it.
 RUN_RECORD_SCHEMA = {
     "type": "object",
     "required": ["format", "spec", "n_lines", "engine", "library", "status",
@@ -62,14 +65,14 @@ RUN_RECORD_SCHEMA = {
         "solutions_truncated": {"type": "boolean"},
         "quantum_cost_min": {"type": ["integer", "null"]},
         "quantum_cost_max": {"type": ["integer", "null"]},
-        "runtime": {"type": "number", "minimum": 0},
+        "runtime": {"type": "number", "minimum": 0, "volatile": True},
         # Whether engine state was reused across the depth loop (warm
         # SAT/QBF sessions, the BDD incremental cascade).  Optional so
         # pre-existing traces stay valid; canonical, not volatile — it
         # changes the computation, and serial vs parallel runs of the
         # same configuration agree on it.
         "incremental": {"type": "boolean"},
-        "unix_time": {"type": "number"},
+        "unix_time": {"type": "number", "volatile": True},
         "per_depth": {
             "type": "array",
             "items": {
@@ -90,24 +93,25 @@ RUN_RECORD_SCHEMA = {
         "metrics": _METRICS_SCHEMA,
         # Parallel-execution provenance (repro.parallel), all optional:
         # absent on serial runs so pre-existing traces stay valid.
-        "workers": {"type": "integer", "minimum": 1},
-        "cpu_count": {"type": "integer", "minimum": 1},
-        "worker_id": {"type": "integer", "minimum": 0},
-        "retried": {"type": "integer", "minimum": 0},
-        "winner_engine": {"type": "string"},
-        "speculation_wasted_depths": {"type": "integer", "minimum": 0},
-        # Persistent-store provenance (repro.store), optional and
-        # volatile: whether this record was served from the result
-        # store, and the ledger bound (inclusive) the run resumed its
-        # iterative deepening from.  Both describe cache luck, not the
-        # computation, so canonical records exclude them.
-        "store_hit": {"type": "boolean"},
-        "store_resumed_from": {"type": "integer", "minimum": 0},
-        # Fleet provenance (repro.fleet), optional and volatile: which
-        # worker host produced the record, and on which claim attempt
-        # (> 1 means the task was reclaimed from a dead host).
-        "fleet_host": {"type": "string"},
-        "fleet_attempt": {"type": "integer", "minimum": 1},
+        "workers": {"type": "integer", "minimum": 1, "volatile": True},
+        "cpu_count": {"type": "integer", "minimum": 1, "volatile": True},
+        "worker_id": {"type": "integer", "minimum": 0, "volatile": True},
+        "retried": {"type": "integer", "minimum": 0, "volatile": True},
+        "winner_engine": {"type": "string", "volatile": True},
+        "speculation_wasted_depths": {"type": "integer", "minimum": 0,
+                                      "volatile": True},
+        # Persistent-store provenance (repro.store), optional: whether
+        # this record was served from the result store, and the ledger
+        # bound (inclusive) the run resumed its iterative deepening
+        # from.  Both describe cache luck, not the computation.
+        "store_hit": {"type": "boolean", "volatile": True},
+        "store_resumed_from": {"type": "integer", "minimum": 0,
+                               "volatile": True},
+        # Fleet provenance (repro.fleet), optional: which worker host
+        # produced the record, and on which claim attempt (> 1 means
+        # the task was reclaimed from a dead host).
+        "fleet_host": {"type": "string", "volatile": True},
+        "fleet_attempt": {"type": "integer", "minimum": 1, "volatile": True},
         "versions": {
             "type": "object",
             "required": ["repro", "python"],
@@ -181,17 +185,25 @@ def validate_run_record(record) -> List[str]:
 # -- construction -------------------------------------------------------------
 
 
+#: :class:`~repro.synth.result.SynthesisResult` provenance fields a
+#: record takes from its result whenever they are set (not ``None``,
+#: not ``False``).  ``cpu_count`` is stamped next to ``workers``.
+RESULT_PROVENANCE_FIELDS = ("store_hit", "store_resumed_from", "workers",
+                            "winner_engine", "speculation_wasted_depths")
+
+
 def build_run_record(result, library=None,
                      extra: Optional[Dict] = None) -> Dict:
     """Assemble a run record from a SynthesisResult (+ its gate library).
 
     ``result`` is duck-typed (anything with ``to_dict()``/``n_lines``-
     compatible fields works) so this module stays import-free of
-    :mod:`repro.synth` and usable from any layer.
+    :mod:`repro.synth` and usable from any layer.  Its provenance
+    (:data:`RESULT_PROVENANCE_FIELDS`) becomes volatile top-level
+    fields, so every caller records the same thing about one result.
 
     ``extra`` merges additional top-level keys into the record — the
-    parallel layer uses it for provenance fields (``workers``,
-    ``worker_id``, ``retried``, ...) declared in the schema.
+    suite scheduler's task-level ``worker_id`` and ``retried``.
     """
     from repro import __version__
 
@@ -215,23 +227,25 @@ def build_run_record(result, library=None,
         },
     }
     record.update(payload)
+    for name in RESULT_PROVENANCE_FIELDS:
+        value = getattr(result, name, None)
+        if value is not None and value is not False:
+            record[name] = value
+    if "workers" in record:
+        record["cpu_count"] = os.cpu_count() or 1
     if extra:
         record.update(extra)
     return record
 
 
-#: Fields that legitimately differ between two runs of the same task:
-#: wall-clock times and parallel-execution placement.  Everything else
-#: (decisions, depths, solution counts, engine counters) is
+#: Fields that legitimately differ between two runs of the same task —
+#: those :data:`RUN_RECORD_SCHEMA` flags ``"volatile"``.  Everything
+#: else (decisions, depths, solution counts, engine counters) is
 #: deterministic, so two records stripped of these fields compare equal
 #: iff the runs computed the same thing.
-VOLATILE_RECORD_FIELDS = frozenset({
-    "runtime", "unix_time",
-    "workers", "cpu_count", "worker_id", "retried", "winner_engine",
-    "speculation_wasted_depths",
-    "store_hit", "store_resumed_from",
-    "fleet_host", "fleet_attempt",
-})
+VOLATILE_RECORD_FIELDS = frozenset(
+    name for name, schema in RUN_RECORD_SCHEMA["properties"].items()
+    if schema.get("volatile"))
 
 #: Metric keys describing how a run was *scheduled* rather than what it
 #: computed: how many depths the speculative pipeline dispatched, how

@@ -9,10 +9,10 @@ message protocol).  Three callers put their own policy on top of it:
   cancel the losers cooperatively.  Surfaced as
   ``synthesize(..., engine="portfolio")``.
 * **speculative depth pipelining** (:mod:`repro.parallel.speculative`)
-  — for the stateless engines (``sat``, ``qbf``, ``sword``) decide
-  depths ``d .. d+k`` concurrently and commit the lowest satisfiable
-  one; wasted speculation is accounted in the run metrics.  Surfaced as
-  ``synthesize(..., engine="sat", workers=4)``.
+  — for the pipelined engines (``sat``, ``qbf``, ``sword``) decide
+  depths ``d .. d+k`` concurrently and hand them to the driver's depth
+  loop in order; wasted speculation is accounted in the run metrics.
+  Surfaced as ``synthesize(..., engine="sat", workers=4)``.
 * **suite scheduling** (:mod:`repro.parallel.scheduler`) — fan a batch
   of (spec, library, engine) tasks over a bounded pool with per-task
   deadlines, one crash retry on a fresh worker and per-worker
@@ -28,7 +28,6 @@ gathered.
 
 from repro.parallel.portfolio import PORTFOLIO_ENGINES, portfolio_synthesize
 from repro.parallel.scheduler import SuiteRun, TaskReport, run_suite
-from repro.parallel.speculative import speculative_synthesize
 from repro.parallel.tasks import SynthesisTask, default_workers
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "default_workers",
     "portfolio_synthesize",
     "run_suite",
-    "speculative_synthesize",
 ]

@@ -17,7 +17,6 @@ Surfaced as ``synthesize(spec, engine="portfolio")`` and
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from typing import Dict, Optional, Sequence, Tuple
@@ -27,6 +26,7 @@ from repro.core.library import GateLibrary
 from repro.core.spec import Specification
 from repro.parallel.pool import Message, WorkerPool
 from repro.parallel.tasks import SynthesisTask
+from repro.synth.driver import finish_run
 
 __all__ = ["PORTFOLIO_ENGINES", "portfolio_synthesize"]
 
@@ -39,6 +39,10 @@ _DEFINITIVE = frozenset({"realized", "gate_limit"})
 #: Preference order when no racer was definitive.
 _STATUS_RANK = {"realized": 0, "gate_limit": 1, "timeout": 2,
                 "cancelled": 3, "error": 4}
+
+#: Seconds the cancelled losers get to report their partial
+#: trajectories before they are terminated.
+_LOSER_GRACE_S = 5.0
 
 
 @contextmanager
@@ -56,8 +60,7 @@ def portfolio_synthesize(spec: Specification,
                          workers: int = 0,
                          store: Optional[object] = None,
                          orbit: bool = True,
-                         engine_options: Optional[Dict] = None,
-                         grace: float = 5.0):
+                         engine_options: Optional[Dict] = None):
     """Race ``engines`` on ``spec``; return the first complete result.
 
     ``workers`` bounds how many racers run concurrently (0 or anything
@@ -68,10 +71,11 @@ def portfolio_synthesize(spec: Specification,
     racer.
 
     The returned :class:`~repro.synth.result.SynthesisResult` is the
-    winner's, with ``runtime`` rebased to the race's wall-clock time
-    and extra attributes ``winner_engine``, ``workers`` and
+    winner's, with ``runtime`` rebased to the race's wall-clock time,
+    ``winner_engine`` and ``workers`` set, and an extra attribute
     ``loser_results`` (engine → result for every racer that reported
-    back, including cancelled partials).
+    back, including cancelled partials).  The race ends through
+    :func:`repro.synth.driver.finish_run`, like every run.
 
     ``store`` (a path or open :class:`repro.store.SynthesisStore`)
     attaches one shared persistent store to every racer: each does its
@@ -142,7 +146,7 @@ def portfolio_synthesize(spec: Specification,
             pool.cancel()
             # Grace window for the cancelled losers to report their
             # partial trajectories; stragglers are terminated.
-            deadline = time.perf_counter() + grace
+            deadline = time.perf_counter() + _LOSER_GRACE_S
             while (len(reported) < len(racer_of)
                    and time.perf_counter() < deadline):
                 for message in pool.wait(0.05):
@@ -188,18 +192,5 @@ def portfolio_synthesize(spec: Specification,
     final.winner_engine = engines[winner_id]
     final.workers = concurrency
     final.loser_results = losers
-    obs.publish(final.metrics)
-    if trace is not None:
-        extra = {"workers": concurrency,
-                 "cpu_count": os.cpu_count() or 1,
-                 "winner_engine": engines[winner_id]}
-        if final.store_hit:
-            extra["store_hit"] = True
-        if final.store_resumed_from is not None:
-            extra["store_resumed_from"] = final.store_resumed_from
-        obs.append_record(trace, obs.build_run_record(final, library,
-                                                      extra=extra))
-    obs.emit("run_finished", spec=final.spec_name, engine="portfolio",
-             status=final.status, depth=final.depth, runtime=final.runtime,
-             winner_engine=engines[winner_id])
-    return final
+    return finish_run(final, trace, library, engine="portfolio",
+                      winner_engine=final.winner_engine)

@@ -21,7 +21,6 @@ and each task's metrics are published into the parent registry.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -130,7 +129,6 @@ def run_suite(tasks: Sequence[SynthesisTask],
     pool_size = workers if workers is not None else default_workers()
     pool_size = max(1, min(pool_size, max(1, len(tasks))))
     start = time.perf_counter()
-    cpu_count = os.cpu_count() or 1
 
     reports: Dict[int, TaskReport] = {}
     attempts = [0] * len(tasks)
@@ -149,15 +147,11 @@ def run_suite(tasks: Sequence[SynthesisTask],
         if report.result is not None:
             obs.publish(report.result.metrics)
             obs.merge_metrics(merged_metrics, report.result.metrics)
-            extra = {"workers": pool_size, "cpu_count": cpu_count,
-                     "worker_id": report.worker_id,
-                     "retried": report.retried}
-            if report.result.store_hit:
-                extra["store_hit"] = True
-            if report.result.store_resumed_from is not None:
-                extra["store_resumed_from"] = report.result.store_resumed_from
+            report.result.workers = pool_size
             report.record = obs.build_run_record(
-                report.result, tasks[index].resolved_library(), extra=extra)
+                report.result, tasks[index].resolved_library(),
+                extra={"worker_id": report.worker_id,
+                       "retried": report.retried})
         obs.emit("task_finished", label=report.label, status=report.status,
                  worker=report.worker_id, retried=report.retried,
                  runtime=report.runtime)

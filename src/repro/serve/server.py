@@ -535,10 +535,7 @@ class SynthesisServer:
             leader_record = (hit_trace_record(entry, result)
                              if entry is not None else None)
         if leader_record is None:
-            extra = ({"store_resumed_from": result.store_resumed_from}
-                     if result.store_resumed_from is not None else None)
-            leader_record = obs.build_run_record(result, job.library,
-                                                 extra=extra)
+            leader_record = obs.build_run_record(result, job.library)
         leader_circuits = [write_real(c) for c in result.circuits]
         for waiter in waiters:
             if waiter.answered:

@@ -12,8 +12,9 @@ A store entry holds two things:
   without touching an engine.
 
 :func:`store_lookup` / :func:`store_commit` are the two integration
-points shared by the serial driver and the speculative depth pipeline;
-they also publish the ``store.*`` metrics.  Store metrics go to the
+points of :func:`repro.synth.driver.synthesize` (serial and pipelined
+runs alike) and the serve daemon's store probes; they also publish the
+``store.*`` metrics.  Store metrics go to the
 process registry only — never into ``result.metrics`` — so a cold run's
 canonical record is identical with and without a store attached.
 """

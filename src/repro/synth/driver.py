@@ -15,8 +15,8 @@ first satisfiable depth is the minimal gate count.  Engines:
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Dict, Optional, Sequence, Tuple, Type, Union
+from contextlib import closing, contextmanager
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Type, Union
 
 import repro.obs as obs
 from repro.core.cancel import CancelledError
@@ -29,8 +29,8 @@ from repro.synth.sat_engine import SatBaselineEngine
 from repro.synth.sword_engine import SwordEngine
 
 __all__ = ["ENGINES", "INCREMENTAL_ENGINES", "MIN_DEPTH_BUDGET",
-           "STATELESS_ENGINES", "default_gate_limit", "engine_session",
-           "plan_depth_range", "synthesize"]
+           "PIPELINED_ENGINES", "default_gate_limit", "engine_session",
+           "finish_run", "plan_depth_range", "synthesize"]
 
 ENGINES: Dict[str, Type] = {
     "bdd": BddSynthesisEngine,
@@ -39,11 +39,14 @@ ENGINES: Dict[str, Type] = {
     "sword": SwordEngine,
 }
 
-#: Engines whose per-depth queries are independent of one another, so
-#: depth decisions may be computed out of order (speculative depth
-#: pipelining).  The BDD engine is excluded: its cascade is built
-#: incrementally and each depth extends the previous one's BDD state.
-STATELESS_ENGINES = frozenset({"qbf", "sat", "sword"})
+#: Engines whose depths may be decided out of order on separate depth
+#: servers (speculative depth pipelining).  Each server keeps its own
+#: warm session across the depths it is sent: the SAT/QBF session
+#: encodings tolerate a gapped depth sequence and ``sword`` searches
+#: each depth afresh, so any depth can go to any server.  The BDD
+#: engine is excluded: its cascade is built incrementally and each
+#: depth extends the previous one's BDD state.
+PIPELINED_ENGINES = frozenset({"qbf", "sat", "sword"})
 
 #: Engines able to reuse solver/cascade state across the depth loop: the
 #: BDD engine's cascade is incremental by construction, and the SAT/QBF
@@ -73,9 +76,9 @@ def engine_session(instance, keep_open: bool = False):
     Engines without the protocol get a compatibility shim: nothing is
     called, and the yielded value falls back to the engine's
     ``incremental`` attribute (the BDD engine's cascade is inherently
-    incremental; stateless engines like ``sword`` report False).  A bare
-    ``engine.decide()`` call outside any session always evaluates from
-    scratch, which keeps one-off depth queries side-effect free.
+    incremental; session-less engines like ``sword`` report False).  A
+    bare ``engine.decide()`` call outside any session always evaluates
+    from scratch, which keeps one-off depth queries side-effect free.
 
     An engine whose ``session_active`` property reports an already-open
     session is *resumed*, not restarted — ``begin_session()`` would
@@ -119,9 +122,8 @@ def plan_depth_range(spec: Specification,
                      use_bounds: bool = False) -> Tuple[int, int]:
     """The iterative-deepening plan: (start depth, inclusive gate limit).
 
-    Factored out of :func:`synthesize` so the speculative depth pipeline
-    (:mod:`repro.parallel.speculative`) plans the identical range and
-    its committed trajectory matches the serial one depth for depth.
+    Factored out of :func:`synthesize` so the serve daemon's store-first
+    probe plans the same range as the run it stands in for.
     """
     limit = (max_gates if max_gates is not None
              else default_gate_limit(spec.n_lines))
@@ -264,9 +266,13 @@ def synthesize(spec: Specification,
     * ``engine="portfolio"`` races every registered engine on the spec
       in worker processes and returns the first completed result
       (``workers`` caps the racer count);
-    * ``workers > 1`` with a stateless engine (``sat``, ``qbf``,
-      ``sword``) pipelines depth decisions ``d..d+workers-1``
-      speculatively and commits the lowest satisfiable depth;
+    * ``workers > 1`` with a pipelined engine (``sat``, ``qbf``,
+      ``sword``) decides depths ``d..d+workers-1`` speculatively on
+      depth servers, each keeping its own warm session
+      (:class:`repro.parallel.speculative.DepthPipeline`); this loop
+      folds their outcomes in depth order and stops at the lowest
+      satisfiable depth, so store, events and record are the serial
+      run's;
     * ``workers > 1`` with the ``bdd`` engine falls back to the serial
       cascade — its depth queries are incremental (each extends the
       previous depth's BDD state), so there is no depth-level
@@ -303,14 +309,6 @@ def synthesize(spec: Specification,
             use_bounds=use_bounds, trace=trace,
             workers=0 if workers <= 1 else workers,
             store=store, orbit=orbit, engine_options=engine_options)
-    if workers > 1 and isinstance(engine, str) and engine in STATELESS_ENGINES:
-        from repro.parallel.speculative import speculative_synthesize
-        resolved = _resolve_library(spec, library, kinds, engine)
-        return speculative_synthesize(
-            spec, resolved, engine, max_gates=max_gates,
-            time_limit=time_limit, use_bounds=use_bounds, trace=trace,
-            workers=workers, store=store, orbit=orbit,
-            engine_options=engine_options)
 
     library = _resolve_library(spec, library, kinds, engine)
     start_depth, limit = plan_depth_range(spec, library, max_gates, use_bounds)
@@ -322,8 +320,7 @@ def synthesize(spec: Specification,
     if store is not None:
         from repro.store import open_store
         from repro.store.orbit import derive_store_key
-        from repro.store.payload import (hit_trace_record, store_commit,
-                                         store_lookup)
+        from repro.store.payload import store_commit, store_lookup
         store_obj = open_store(store)
         key = derive_store_key(spec, library, engine, max_gates=max_gates,
                                use_bounds=use_bounds,
@@ -332,17 +329,18 @@ def synthesize(spec: Specification,
             store_obj, key, spec, engine, start_depth)
         if hit is not None:
             # Served entirely from the result store: no engine is ever
-            # constructed.  The trace re-emits the stored canonical
-            # record (plus fresh volatile fields) byte for byte.
+            # constructed.
             hit.runtime = time.perf_counter() - start
-            if trace is not None:
-                obs.append_record(trace, hit_trace_record(entry, hit))
-            obs.emit("run_finished", spec=hit.spec_name, engine=hit.engine,
-                     status=hit.status, depth=hit.depth, runtime=hit.runtime,
-                     store_hit=True)
-            return hit
+            return finish_run(hit, trace, library, entry=entry)
 
-    if warm_instance is not None:
+    # The depth source: this process deciding each depth in turn, or
+    # depth servers deciding a window of them speculatively.
+    pipeline = instance = None
+    if workers > 1 and isinstance(engine, str) and engine in PIPELINED_ENGINES:
+        from repro.parallel.speculative import DepthPipeline
+        pipeline = DepthPipeline(spec, library, engine, engine_options,
+                                 workers)
+    elif warm_instance is not None:
         instance = warm_instance
         if "cancel_token" in engine_options:
             from repro.core.cancel import as_token
@@ -356,85 +354,126 @@ def synthesize(spec: Specification,
         instance = engine_cls(spec, library, **engine_options)
     else:
         instance = engine
-
-    result = SynthesisResult(engine=instance.name,
-                             spec_name=spec.name or "anonymous",
-                             status="gate_limit")
+    result = SynthesisResult(
+        engine=engine if instance is None else instance.name,
+        spec_name=spec.name or "anonymous", status="gate_limit")
     if start_depth > store_start_depth:
         result.store_resumed_from = start_depth - 1
     deadline = None if time_limit is None else start + time_limit
+    depths = (pipeline.depths(start_depth, limit, deadline)
+              if pipeline is not None else
+              _serial_depths(instance, result, start_depth, limit, deadline,
+                             keep_session))
 
+    next_depth = start_depth
     with obs.span("synthesize", spec=result.spec_name,
-                  engine=instance.name), \
-            engine_session(instance, keep_open=keep_session) as warm:
-        result.incremental = warm
-        for depth in range(start_depth, limit + 1):
-            remaining = None
-            if deadline is not None:
-                # Clamp: a sliver of budget is not worth an engine call —
-                # the encoding construction alone would overrun it.
-                remaining = max(0.0, deadline - time.perf_counter())
-                if remaining <= MIN_DEPTH_BUDGET:
+                  engine=result.engine), closing(depths):
+        try:
+            for depth, outcome, runtime in depths:
+                next_depth = depth + 1
+                timed_out = outcome.status == "unknown"
+                result.per_depth.append(
+                    DepthStat(depth=depth, decision=outcome.status,
+                              runtime=runtime, detail=dict(outcome.detail),
+                              metrics=dict(outcome.metrics),
+                              timed_out=timed_out))
+                if timed_out:
                     result.status = "timeout"
                     break
-            step_start = time.perf_counter()
-            obs.emit("depth_started", spec=result.spec_name,
-                     engine=instance.name, depth=depth)
-            try:
-                with obs.span("depth", depth=depth, engine=instance.name):
-                    outcome: DepthOutcome = instance.decide(
-                        depth, time_limit=remaining)
-            except CancelledError:
-                # Cooperative cancellation (portfolio loser / Ctrl-C
-                # drain): keep the per-depth trajectory gathered so far
-                # so the coordinator can still merge partial metrics.
-                result.status = "cancelled"
-                break
-            step_time = time.perf_counter() - step_start
-            timed_out = outcome.status == "unknown"
-            result.per_depth.append(
-                DepthStat(depth=depth, decision=outcome.status,
-                          runtime=step_time, detail=dict(outcome.detail),
-                          metrics=dict(outcome.metrics), timed_out=timed_out))
-            if timed_out:
-                result.status = "timeout"
-                break
-            if outcome.status == "sat":
-                result.status = "realized"
-                result.depth = depth
-                result.circuits = outcome.circuits
-                result.num_solutions = outcome.num_solutions
-                result.quantum_cost_min = outcome.quantum_cost_min
-                result.quantum_cost_max = outcome.quantum_cost_max
-                result.solutions_truncated = outcome.solutions_truncated
-                obs.emit("solution_found", spec=result.spec_name,
-                         engine=instance.name, depth=depth,
-                         num_solutions=outcome.num_solutions)
-                break
-            # UNSAT at this depth: a freshly proven lower bound.
-            obs.emit("depth_refuted", spec=result.spec_name,
-                     engine=instance.name, depth=depth, proven_bound=depth)
+                if outcome.status == "sat":
+                    result.status = "realized"
+                    result.depth = depth
+                    result.circuits = outcome.circuits
+                    result.num_solutions = outcome.num_solutions
+                    result.quantum_cost_min = outcome.quantum_cost_min
+                    result.quantum_cost_max = outcome.quantum_cost_max
+                    result.solutions_truncated = outcome.solutions_truncated
+                    obs.emit("solution_found", spec=result.spec_name,
+                             engine=result.engine, depth=depth,
+                             num_solutions=outcome.num_solutions)
+                    break
+                # UNSAT at this depth: a freshly proven lower bound.
+                obs.emit("depth_refuted", spec=result.spec_name,
+                         engine=result.engine, depth=depth,
+                         proven_bound=depth)
+        except CancelledError:
+            # Cooperative cancellation (portfolio loser / Ctrl-C drain):
+            # keep the per-depth trajectory gathered so far so the
+            # coordinator can still merge partial metrics.
+            result.status = "cancelled"
+    if result.status == "gate_limit" and next_depth <= limit:
+        # The source stopped short of the limit: the budget ran out.
+        result.status = "timeout"
 
     result.runtime = time.perf_counter() - start
     if keep_session:
         result.engine_instance = instance
     _aggregate_metrics(result)
-    obs.publish(result.metrics)
+    if pipeline is not None:
+        pipeline.report(result)
     if store_obj is not None:
         # Bank what this run proved — a definitive answer for the result
         # store, and the contiguous UNSAT prefix for the ledger even on
         # timeout/cancellation.
         store_commit(store_obj, key, result, library, start_depth, spec=spec)
+    return finish_run(result, trace, library)
+
+
+def _serial_depths(instance, result: SynthesisResult, start_depth: int,
+                   limit: int, deadline: Optional[float],
+                   keep_session: bool) -> Iterator[Tuple[int, DepthOutcome,
+                                                         float]]:
+    """The serial depth source: ``instance`` decides each depth in turn.
+
+    Yields ``(depth, outcome, runtime)`` inside one engine session
+    (recorded as ``result.incremental``) and stops early when less than
+    :data:`MIN_DEPTH_BUDGET` of the budget is left — the encoding
+    construction alone would overrun such a sliver.
+    """
+    with engine_session(instance, keep_open=keep_session) as warm:
+        result.incremental = warm
+        for depth in range(start_depth, limit + 1):
+            remaining = None
+            if deadline is not None:
+                remaining = max(0.0, deadline - time.perf_counter())
+                if remaining <= MIN_DEPTH_BUDGET:
+                    return
+            step_start = time.perf_counter()
+            obs.emit("depth_started", spec=result.spec_name,
+                     engine=result.engine, depth=depth)
+            with obs.span("depth", depth=depth, engine=result.engine):
+                outcome = instance.decide(depth, time_limit=remaining)
+            yield depth, outcome, time.perf_counter() - step_start
+
+
+def finish_run(result: SynthesisResult, trace: Optional[str],
+               library: GateLibrary, entry: Optional[Dict] = None,
+               **event) -> SynthesisResult:
+    """The one exit of every run: metrics, trace record, ``run_finished``.
+
+    A computed run publishes its metrics to the process registry and is
+    recorded from ``result``, provenance included.  A store hit passes
+    its store ``entry`` instead: nothing was computed, so nothing is
+    published, and its trace record is the stored canonical record plus
+    fresh volatile fields, byte for byte.  ``event`` adds to or
+    overrides the ``run_finished`` fields (a portfolio race reports
+    itself as the engine).
+    """
+    if entry is None:
+        obs.publish(result.metrics)
+    else:
+        event.setdefault("store_hit", True)
     if trace is not None:
-        library_obj = getattr(instance, "library", library)
-        extra = ({"store_resumed_from": result.store_resumed_from}
-                 if result.store_resumed_from is not None else None)
-        obs.append_record(trace,
-                          obs.build_run_record(result, library_obj,
-                                               extra=extra))
-    obs.emit("run_finished", spec=result.spec_name, engine=instance.name,
-             status=result.status, depth=result.depth,
-             runtime=result.runtime)
+        if entry is None:
+            record = obs.build_run_record(result, library)
+        else:
+            from repro.store.payload import hit_trace_record
+            record = hit_trace_record(entry, result)
+        obs.append_record(trace, record)
+    obs.emit("run_finished", **{
+        "spec": result.spec_name, "engine": result.engine,
+        "status": result.status, "depth": result.depth,
+        "runtime": result.runtime, **event})
     return result
 
 

@@ -67,12 +67,16 @@ class SynthesisResult:
     is scheduled — so it is *canonical*, not a volatile record field:
     serial and parallel runs of the same configuration agree on it.
 
-    ``store_hit`` / ``store_resumed_from`` carry persistent-store
-    provenance (:mod:`repro.store`): whether the result was served from
-    the result store, and the ledger depth the deepening resumed after.
-    Both describe cache luck, not the computation, so they are excluded
-    from :meth:`to_dict` — the trace layer records them as volatile
-    extras instead.
+    The remaining fields are *provenance*: they describe cache luck
+    and scheduling, not the computation, so :meth:`to_dict` leaves them
+    out and :func:`repro.obs.build_run_record` adds each one that is set
+    as a volatile record field.  ``store_hit`` / ``store_resumed_from``
+    say whether the result was served from the persistent store
+    (:mod:`repro.store`) and the ledger depth the deepening resumed
+    after; ``workers`` is the process count of a pipelined, raced or
+    pooled run, ``winner_engine`` the engine that won a portfolio race
+    and ``speculation_wasted_depths`` the depths a pipelined run decided
+    past its answer.
 
     ``engine_instance`` is populated only for ``keep_session=True``
     runs (the serve daemon's warm session pool): it hands the engine —
@@ -95,6 +99,9 @@ class SynthesisResult:
     incremental: bool = False
     store_hit: bool = False
     store_resumed_from: Optional[int] = None
+    workers: Optional[int] = None
+    winner_engine: Optional[str] = None
+    speculation_wasted_depths: Optional[int] = None
     engine_instance: Optional[object] = field(
         default=None, repr=False, compare=False)
 

@@ -295,6 +295,21 @@ def test_cache_stats_json_payload(tmp_path, capsys):
     assert "format" not in raw
 
 
+def test_synth_json_on_a_store_hit_carries_store_hit(tmp_path, capsys):
+    import json as json_module
+    store = str(tmp_path / "store")
+    argv = ["synth", "-b", "3_17", "--engine", "bdd", "--store", store,
+            "--json"]
+    assert main(argv) == 0
+    cold = json_module.loads(capsys.readouterr().out)
+    assert "store_hit" not in cold
+    assert main(argv) == 0
+    warm = json_module.loads(capsys.readouterr().out)
+    assert warm["store_hit"] is True
+    from repro.obs import validate_run_record
+    assert validate_run_record(warm) == []
+
+
 def test_request_cli_against_embedded_daemon(tmp_path, capsys):
     import json as json_module
 

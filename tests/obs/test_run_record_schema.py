@@ -5,9 +5,12 @@ import json
 import pytest
 
 from repro.functions import get_spec
-from repro.obs.runrecord import (RUN_RECORD_FORMAT, build_run_record,
-                                 iter_records, read_records,
-                                 summarize_records, validate_run_record)
+from repro.obs.runrecord import (RESULT_PROVENANCE_FIELDS,
+                                 RUN_RECORD_FORMAT, RUN_RECORD_SCHEMA,
+                                 VOLATILE_RECORD_FIELDS, build_run_record,
+                                 canonical_record, iter_records,
+                                 read_records, summarize_records,
+                                 validate_run_record)
 from repro.synth import synthesize
 
 
@@ -160,6 +163,44 @@ class TestExportedRecords:
         # n_lines falls back to the circuits; library block is a stub.
         assert record["n_lines"] == 3
         assert record["library"]["name"] == "unknown"
+
+
+class TestVolatility:
+    def test_canonical_record_strips_exactly_the_flagged_fields(self):
+        flagged = {name for name, schema
+                   in RUN_RECORD_SCHEMA["properties"].items()
+                   if schema.get("volatile")}
+        assert flagged == VOLATILE_RECORD_FIELDS == {
+            "runtime", "unix_time", "workers", "cpu_count", "worker_id",
+            "retried", "winner_engine", "speculation_wasted_depths",
+            "store_hit", "store_resumed_from", "fleet_host",
+            "fleet_attempt"}
+        record = TestValidator().base_record()
+        record.update(incremental=True, workers=2, cpu_count=4, worker_id=1,
+                      retried=0, winner_engine="bdd",
+                      speculation_wasted_depths=1, store_hit=True,
+                      store_resumed_from=2, fleet_host="h", fleet_attempt=1)
+        assert set(record) == set(RUN_RECORD_SCHEMA["properties"])
+        assert validate_run_record(record) == []
+        assert set(record) - set(canonical_record(record)) == flagged
+
+    def test_result_provenance_fields_are_flagged(self):
+        result = synthesize(get_spec("toffoli"), kinds=("mct",),
+                            engine="bdd")
+        plain = build_run_record(result)
+        result.store_hit = True
+        result.store_resumed_from = 1
+        result.workers = 2
+        result.winner_engine = "bdd"
+        result.speculation_wasted_depths = 0
+        stamped = build_run_record(result)
+        added = set(stamped) - set(plain)
+        assert added == set(RESULT_PROVENANCE_FIELDS) | {"cpu_count"}
+        assert added <= VOLATILE_RECORD_FIELDS
+        assert validate_run_record(stamped) == []
+        assert canonical_record(stamped) == canonical_record(plain)
+        # None of it is part of the result's canonical body.
+        assert not added & set(result.to_dict())
 
 
 class TestSummary:

@@ -19,7 +19,6 @@ import repro.obs as obs
 from repro.functions import get_spec
 from repro.parallel import SynthesisTask, run_suite
 from repro.parallel.portfolio import portfolio_synthesize
-from repro.parallel.speculative import speculative_synthesize
 from repro.store import derive_store_key, open_store
 from repro.synth import synthesize
 
@@ -227,7 +226,7 @@ def test_speculative_emits_commit_ordered_events():
     from repro.core.library import GateLibrary
     library = GateLibrary.from_kinds(spec.n_lines, ("mct",))
     stream = obs.event_stream(maxlen=4096)
-    result = speculative_synthesize(spec, library, engine="sat", workers=2)
+    result = synthesize(spec, library, engine="sat", workers=2)
     events = stream.drain()
     stream.close()
     assert result.realized
@@ -258,11 +257,9 @@ def test_speculative_events_on_off_identical_canonical_record():
     # pure function of (spec, depth): which worker answered which depth
     # stops mattering, so the record is fully deterministic.
     options = {"incremental": False}
-    off = speculative_synthesize(spec, library, engine="sat", workers=2,
-                                 engine_options=options)
+    off = synthesize(spec, library, engine="sat", workers=2, **options)
     stream = obs.event_stream(maxlen=4096)
-    on = speculative_synthesize(spec, library, engine="sat", workers=2,
-                                engine_options=options)
+    on = synthesize(spec, library, engine="sat", workers=2, **options)
     stream.close()
     assert _canonical(on) == _canonical(off)
     # And the pipelined canonical record equals the serial one: the
