@@ -1350,8 +1350,8 @@ class BddManager:
         num_inputs`` and the inputs to occupy the top ``num_inputs``
         levels of the order (true by construction for spec BDDs built
         over the X block, and preserved by block-constrained sifting);
-        the caller keeps the two-step route for the ``var_order="yx"``
-        ablation where they do not.
+        where they do not, conjoin the comparators with :meth:`conj`
+        and quantify with :meth:`forall` instead.
         """
         var = self._var
         lo = self._lo

@@ -7,8 +7,8 @@ A *span* is a named, timed region of work with attached attributes::
 
 Spans nest: a span opened while another is active records that span as
 its parent, so a trace of one ``synthesize()`` call reconstructs the
-whole Figure-1 loop (driver iteration -> cascade build -> equality ->
-quantification) as a tree.
+whole Figure-1 loop (driver iteration -> cascade build -> match and
+quantification -> extraction) as a tree.
 
 Tracing is **disabled by default** and designed to be a zero-cost no-op
 in that state: :meth:`Tracer.span` then returns a shared singleton whose

@@ -29,7 +29,7 @@ from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import repro.obs as obs
-from repro.core.cancel import CancelledError
+from repro.core.cancel import CancelledError, as_token
 from repro.core.library import GateLibrary
 from repro.core.spec import Specification
 from repro.parallel.pool import WorkerPool
@@ -77,12 +77,19 @@ class DepthPipeline:
     transposition table no longer spans depths decided by different
     workers), runtimes and the ``driver.speculation_*`` metrics differ
     from a serial run.
+
+    The caller's ``cancel_token`` engine option is polled between
+    waits and before each yield, as a serial run's engine polls it
+    before each depth: once it is set, :meth:`depths` raises
+    :class:`CancelledError` and leaving the pool cancels the depth
+    servers.
     """
 
     def __init__(self, spec: Specification, library: GateLibrary,
                  engine: str, engine_options: Dict, workers: int):
         options = dict(engine_options)
-        options.pop("cancel_token", None)  # workers get their own
+        # The servers poll the pool's own token; the caller's is polled here.
+        self._token = as_token(options.pop("cancel_token", None))
         self._session = partial(_depth_session, engine, spec, library,
                                 options)
         self._label = {"spec": spec.name or "anonymous", "engine": engine}
@@ -94,8 +101,9 @@ class DepthPipeline:
         """Yield ``(depth, outcome, worker runtime)`` from ``start_depth``.
 
         Stops early when the budget runs out before the next depth is
-        answered.  Raises :class:`CancelledError` when a depth server
-        was cancelled, :class:`RuntimeError` when one failed or died.
+        answered.  Raises :class:`CancelledError` when the caller's token
+        is set or a depth server was cancelled, :class:`RuntimeError`
+        when one failed or died.
         """
         self._first = self._next = self._commit = start_depth
         idle: List[int] = []
@@ -106,6 +114,7 @@ class DepthPipeline:
                         for _ in range(self.workers))
             with obs.span("speculate", workers=self.workers, **self._label):
                 while True:
+                    self._token.raise_if_cancelled()
                     # Fill idle workers with the next depths in the window.
                     while (idle and self._next <= limit
                            and self._next < self._commit + self.workers):
@@ -149,6 +158,7 @@ class DepthPipeline:
                         if outcome is None:
                             raise CancelledError(
                                 f"depth-{self._commit} was cancelled")
+                        self._token.raise_if_cancelled()
                         obs.emit("speculation_committed",
                                  depth=self._commit, decision=outcome.status,
                                  **self._label)

@@ -17,25 +17,17 @@ formulation avoids.  Ablation A2 measures this.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.qbf.qcnf import EXISTS, FORALL, QuantifiedCnf
-from repro.qbf.qdpll import QbfResult
-from repro.sat.cdcl import solve_cnf
+from repro.qbf.qcnf import FORALL, QuantifiedCnf
 from repro.sat.cnf import Cnf
 
-__all__ = ["ExpansionBudgetExceeded", "expand_to_cnf", "solve_qbf_by_expansion"]
+__all__ = ["expand_to_cnf"]
 
 Clause = Tuple[int, ...]
 
 
-class ExpansionBudgetExceeded(Exception):
-    """Raised when universal expansion grows past the configured budget."""
-
-
 def expand_to_cnf(formula: QuantifiedCnf,
-                  max_clauses: Optional[int] = None,
                   tick: Optional[Callable[[], None]] = None
                   ) -> Tuple[Cnf, List[int]]:
     """Expand all universal variables; returns (CNF, outer existential vars).
@@ -95,10 +87,6 @@ def expand_to_cnf(formula: QuantifiedCnf,
             for clause in positive_half
         ]
         clauses = negative_half + renamed_half
-        if max_clauses is not None and len(clauses) > max_clauses:
-            raise ExpansionBudgetExceeded(
-                f"expansion produced {len(clauses)} clauses (budget {max_clauses})"
-            )
         # The copies live in the same (now merged) existential scope.
         for index in range(block_index + 1, len(blocks)):
             quantifier, variables = blocks[index]
@@ -110,30 +98,3 @@ def expand_to_cnf(formula: QuantifiedCnf,
         cnf.add_clause(clause)
     return cnf, list(formula.outer_existential_block())
 
-
-def solve_qbf_by_expansion(formula: QuantifiedCnf,
-                           time_limit: Optional[float] = None,
-                           max_clauses: Optional[int] = None,
-                           tick: Optional[Callable[[], None]] = None
-                           ) -> QbfResult:
-    """Decide a QBF by full universal expansion plus one CDCL call."""
-    start = time.perf_counter()
-    universals = sum(len(variables) for quantifier, variables in formula.prefix
-                     if quantifier == FORALL)
-    try:
-        cnf, outer = expand_to_cnf(formula, max_clauses=max_clauses, tick=tick)
-    except ExpansionBudgetExceeded:
-        return QbfResult(status="unknown", expanded_universals=universals,
-                         runtime=time.perf_counter() - start)
-    sat = solve_cnf(cnf, time_limit=time_limit, tick=tick)
-    result = QbfResult(status=sat.status,
-                       decisions=sat.decisions,
-                       propagations=sat.propagations,
-                       conflicts=sat.conflicts,
-                       expanded_universals=universals,
-                       expanded_clauses=len(cnf.clauses),
-                       runtime=time.perf_counter() - start)
-    if sat.is_sat:
-        assert sat.model is not None
-        result.model = {v: sat.model[v] for v in outer}
-    return result

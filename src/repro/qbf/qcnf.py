@@ -6,7 +6,7 @@ alternate freely; variables missing from the prefix are treated as
 outermost existentials (free variables).
 
 Quantifier *levels* number the blocks from the outside in, starting at 0;
-they drive universal reduction and the QDPLL unit rule.
+they drive universal reduction and the unit rule of QBF search.
 """
 
 from __future__ import annotations

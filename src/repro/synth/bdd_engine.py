@@ -8,19 +8,17 @@ gate-select variables ``Y_1 .. Y_d``, built incrementally:
     SOL_d = forall X . AND_l ( f_l^dc OR (F_{d,l} XNOR f_l^on) )
 
 — done as a fold over the input rows (:meth:`BddManager.match_forall`)
-that never materializes the intermediate equality BDD over X and Y;
-the ``var_order="yx"`` ablation falls back to the explicit comparator
-followed by :meth:`BddManager.forall`.  A non-zero result BDD
-encodes *every* depth-``d`` realization at once: each model over the
-``Y`` variables decodes to one network, so the engine reports the exact
-solution count (``#SOL``) and the full quantum-cost range (``QC``) of
-Tables 2 and 3.
+that never materializes the intermediate equality BDD over X and Y.  A
+non-zero result BDD encodes *every* depth-``d`` realization at once:
+each model over the ``Y`` variables decodes to one network, so the
+engine reports the exact solution count (``#SOL``) and the full
+quantum-cost range (``QC``) of Tables 2 and 3.
 
 The variable order is fixed to "X before Y" by creating the ``x``
 variables first and appending select variables per depth; the opposite
-order (available as ``var_order="yx"`` with ``incremental=False``) makes
-``F_d`` enumerate every function realizable with ``d`` gates and blows
-up, which ablation A1 measures.
+order makes ``F_d`` enumerate every function realizable with ``d`` gates
+and blows up, which ablation A1 (EXPERIMENTS.md) measures with a Y-first
+builder of its own.
 
 Between depths the engine reclaims every node its protected roots (the
 cascade frontier and the spec BDDs) no longer reach with
@@ -105,7 +103,7 @@ class BddSynthesisEngine:
     name = "bdd"
 
     def __init__(self, spec: Specification, library: GateLibrary,
-                 incremental: bool = True, var_order: str = "xy",
+                 incremental: bool = True,
                  max_enumerate: int = 200_000,
                  cache_limit: int = 1_500_000,
                  reorder: bool = False,
@@ -137,18 +135,12 @@ class BddSynthesisEngine:
         """
         if library.n_lines != spec.n_lines:
             raise ValueError("library and specification widths differ")
-        if var_order not in ("xy", "yx"):
-            raise ValueError("var_order must be 'xy' or 'yx'")
-        if var_order == "yx" and incremental:
-            raise ValueError("the Y-before-X order requires incremental=False "
-                             "(select variables must precede the inputs)")
         if reorder and not incremental:
             raise ValueError("dynamic reordering requires incremental=True "
                              "(the monolithic ablation rebuilds per depth)")
         self.spec = spec
         self.library = library
         self.incremental = incremental
-        self.var_order = var_order
         self.max_enumerate = max_enumerate
         self.cache_limit = cache_limit
         self.reorder = reorder
@@ -257,12 +249,8 @@ class BddSynthesisEngine:
         manager = BddManager()
         deadline._manager = manager
         manager.set_alloc_tick(deadline.check)
-        if self.var_order == "yx":
-            y_vars = [self._select_block(manager, p) for p in range(depth)]
-            x_vars = [manager.add_var(f"x{l}") for l in range(self.n)]
-        else:
-            x_vars = [manager.add_var(f"x{l}") for l in range(self.n)]
-            y_vars = [self._select_block(manager, p) for p in range(depth)]
+        x_vars = [manager.add_var(f"x{l}") for l in range(self.n)]
+        y_vars = [self._select_block(manager, p) for p in range(depth)]
         algebra = BddAlgebra(manager)
         lines = [manager.var(v) for v in x_vars]
         for position in range(depth):
@@ -270,7 +258,7 @@ class BddSynthesisEngine:
             lines = universal_gate_stage(lines, select_nodes, self.library,
                                          algebra, tick=deadline.check)
         self._build_spec_bdds(manager, x_vars)
-        return manager, x_vars, y_vars, lines
+        return manager, y_vars, lines
 
     # -- main query ------------------------------------------------------------------
 
@@ -305,31 +293,15 @@ class BddSynthesisEngine:
                                      "non-decreasing order")
                 with obs.span("bdd.cascade", depth=depth):
                     self._advance_to(depth, deadline)
-                manager, x_vars = self.manager, self.x_vars
+                manager = self.manager
                 y_vars, lines = self.y_vars, self.lines
             else:
                 with obs.span("bdd.cascade", depth=depth, monolithic=True):
-                    manager, x_vars, y_vars, lines = self._build_monolithic(
+                    manager, y_vars, lines = self._build_monolithic(
                         depth, deadline)
-
-            if self.var_order == "yx":
-                # The row fold needs the quantified inputs at the top
-                # of the order; the Y-before-X ablation keeps the
-                # two-step comparator + forall route.
-                with obs.span("bdd.equality", depth=depth):
-                    terms = []
-                    for l in range(self.n):
-                        deadline.check()
-                        agree = manager.xnor(lines[l], self.on_bdds[l])
-                        terms.append(manager.or_(self.dc_bdds[l], agree))
-                    equality = manager.conj(terms)
-                deadline.check()
-                with obs.span("bdd.quantify", depth=depth):
-                    solutions = manager.forall(equality, x_vars)
-            else:
-                with obs.span("bdd.quantify", depth=depth):
-                    solutions = manager.match_forall(
-                        lines, self.on_bdds, self.dc_bdds, self.n)
+            with obs.span("bdd.quantify", depth=depth):
+                solutions = manager.match_forall(
+                    lines, self.on_bdds, self.dc_bdds, self.n)
             deadline.check()
         except TimeoutError:
             return DepthOutcome(status="unknown", detail={"timeout": True},

@@ -12,13 +12,13 @@ to clauses [20].  The specification itself is encoded via its BDD
 (Shannon expansion to an expression DAG), keeping the whole instance
 polynomial in the BDD size rather than ``2^n`` truth-table rows.
 
-Two solvers are available.  The default, ``solver="expansion"``, follows
-skizzo's symbolic-skolemization lineage: universal variables are expanded
-away and one CDCL call decides the result.  ``solver="qdpll"`` is the
-search-based alternative; without clause/cube learning it blows up
-exponentially per depth and is only practical on tiny instances —
-ablation A2 quantifies the difference.  Either way the paper's finding
-holds: the QBF-solver route is far slower than the BDD engine.
+The solver follows skizzo's symbolic-skolemization lineage: universal
+variables are expanded away and one CDCL call decides the result.
+Ablation A2 (``benchmarks/bench_ablation_qbf_solvers.py``) feeds the
+same encoding to a prefix-order search solver instead, which without
+clause/cube learning blows up exponentially per depth.  Either way the
+paper's finding holds: the QBF-solver route is far slower than the BDD
+engine.
 
 Inside a driver session the expansion solver runs *incrementally*: the
 polynomial matrix is encoded once (monotone in depth, with the depth-
@@ -45,10 +45,9 @@ from repro.core.cancel import CancelToken, as_token
 from repro.core.circuit import Circuit
 from repro.core.library import GateLibrary
 from repro.core.spec import Specification
-from repro.qbf.expansion import ExpansionBudgetExceeded, expand_to_cnf
+from repro.qbf.expansion import expand_to_cnf
 from repro.qbf.qcnf import EXISTS, FORALL, QuantifiedCnf
-from repro.qbf.qdpll import QdpllSolver
-from repro.sat.cdcl import CdclSolver
+from repro.sat.cdcl import CdclSolver, SatResult
 from repro.sat.cnf import Cnf
 from repro.sat.dimacs import to_qdimacs
 from repro.sat.expr import ExprBuilder, expr_from_bdd
@@ -61,24 +60,18 @@ __all__ = ["QbfSolverEngine"]
 
 
 class QbfSolverEngine:
-    """Polynomial QCNF encoding decided by a QBF solver."""
+    """Polynomial QCNF encoding decided by universal expansion."""
 
     name = "qbf"
 
     def __init__(self, spec: Specification, library: GateLibrary,
-                 solver: str = "expansion",
-                 expansion_clause_budget: Optional[int] = None,
                  incremental: bool = True,
                  cancel_token: Optional[CancelToken] = None):
         if library.n_lines != spec.n_lines:
             raise ValueError("library and specification widths differ")
-        if solver not in ("qdpll", "expansion"):
-            raise ValueError("solver must be 'qdpll' or 'expansion'")
         self.cancel_token = as_token(cancel_token)
         self.spec = spec
         self.library = library
-        self.solver = solver
-        self.expansion_clause_budget = expansion_clause_budget
         self.incremental = bool(incremental)
         self.n = spec.n_lines
         self.width = library.select_bits()
@@ -89,11 +82,10 @@ class QbfSolverEngine:
     def begin_session(self) -> bool:
         """Driver hook: open the warm row-expansion session.
 
-        Only the expansion solver supports incremental deepening; the
-        qdpll backend keeps its per-depth search.  Returns whether an
-        incremental session is now active.
+        Returns whether an incremental session is now active (False when
+        the engine was constructed with ``incremental=False``).
         """
-        if self.incremental and self.solver == "expansion":
+        if self.incremental:
             self._session = _IncrementalExpansionSession(self)
         return self._session is not None
 
@@ -171,49 +163,21 @@ class QbfSolverEngine:
                time_limit: Optional[float] = None) -> DepthOutcome:
         if self._session is not None:
             return self._session.decide(depth, time_limit)
+        return self._decide_scratch(depth, time_limit)
+
+    def _decide_scratch(self, depth: int,
+                        time_limit: Optional[float]) -> DepthOutcome:
+        """Cold path: encode, expand, one CDCL call, canonicalize.
+
+        The realizing model is lexmin-canonicalized on the live solver —
+        the guarantee that scratch and incremental runs return the same
+        circuit needs both paths to extract the same canonical witness.
+        """
         with obs.span("qbf.encode", depth=depth):
             formula, select_vars = self.encode(depth)
         detail = {"vars": formula.cnf.num_vars,
                   "clauses": len(formula.cnf.clauses),
                   "incremental": False}
-        tick = self.cancel_token.raise_if_cancelled
-        if self.solver == "qdpll":
-            with obs.span("qbf.solve", depth=depth, solver=self.solver):
-                result = QdpllSolver(formula).solve(time_limit=time_limit,
-                                                   tick=tick)
-            metrics = {
-                "qbf.vars": formula.cnf.num_vars,
-                "qbf.clauses": len(formula.cnf.clauses),
-                "qbf.decisions": result.decisions,
-                "qbf.propagations": result.propagations,
-                "qbf.conflicts": result.conflicts,
-                "qbf.expanded_universals": result.expanded_universals,
-                "qbf.expanded_clauses": result.expanded_clauses,
-            }
-            if result.status == "unknown":
-                return DepthOutcome(status="unknown", metrics=metrics,
-                                    detail=dict(detail, timeout=True))
-            if result.is_unsat:
-                return DepthOutcome(status="unsat", detail=detail,
-                                    metrics=metrics)
-            assert result.model is not None
-            return self._realized(result.model, select_vars, detail, metrics)
-        return self._decide_expansion_scratch(formula, select_vars, detail,
-                                              depth, time_limit)
-
-    def _decide_expansion_scratch(self, formula: QuantifiedCnf,
-                                  select_vars: List[List[int]],
-                                  detail: Dict[str, object], depth: int,
-                                  time_limit: Optional[float]
-                                  ) -> DepthOutcome:
-        """Cold expansion path: expand, one CDCL call, canonicalize.
-
-        Inlined (rather than routed through
-        :func:`~repro.qbf.expansion.solve_qbf_by_expansion`) so the
-        realizing model can be lexmin-canonicalized on the live solver —
-        the guarantee that scratch and incremental runs return the same
-        circuit needs both paths to extract the same canonical witness.
-        """
         tick = self.cancel_token.raise_if_cancelled
         universals = sum(len(variables)
                          for quantifier, variables in formula.prefix
@@ -224,26 +188,15 @@ class QbfSolverEngine:
             "qbf.expanded_universals": universals,
         }
         with obs.span("qbf.expand", depth=depth):
-            try:
-                cnf, _outer = expand_to_cnf(
-                    formula, max_clauses=self.expansion_clause_budget,
-                    tick=tick)
-            except ExpansionBudgetExceeded:
-                return DepthOutcome(status="unknown", metrics=metrics,
-                                    detail=dict(detail,
-                                                budget_exceeded=True))
+            cnf, _outer = expand_to_cnf(formula, tick=tick)
         metrics["qbf.expanded_clauses"] = len(cnf.clauses)
         solver = CdclSolver(cnf)
         deadline = (None if time_limit is None
                     else time.perf_counter() + time_limit)
-        with obs.span("qbf.solve", depth=depth, solver=self.solver):
+        with obs.span("qbf.solve", depth=depth):
             result = solver.solve(time_limit=time_limit, tick=tick)
-        metrics.update({
-            "qbf.decisions": result.decisions,
-            "qbf.propagations": result.propagations,
-            "qbf.conflicts": result.conflicts,
-            "sat.incremental.cold_conflicts": result.conflicts,
-        })
+        metrics.update(_search_metrics(result))
+        metrics["sat.incremental.cold_conflicts"] = result.conflicts
         if result.status == "unknown":
             return DepthOutcome(status="unknown", metrics=metrics,
                                 detail=dict(detail, timeout=True))
@@ -279,6 +232,17 @@ class QbfSolverEngine:
             if code < self.library.size():
                 gates.append(self.library[code])
         return Circuit(self.n, gates)
+
+
+def _search_metrics(result: SatResult) -> Dict[str, float]:
+    """The ``qbf.*`` search counters of the CDCL call that decided a depth."""
+    return {
+        "qbf.decisions": result.decisions,
+        "qbf.propagations": result.propagations,
+        "qbf.conflicts": result.conflicts,
+        "qbf.restarts": result.restarts,
+        "qbf.learnt_clauses": result.learnt_clauses,
+    }
 
 
 class _IncrementalExpansionSession:
@@ -430,23 +394,14 @@ class _IncrementalExpansionSession:
             "sat.incremental.clauses_added": added,
             "sat.incremental.assumptions": 1,
         }
-        budget = engine.expansion_clause_budget
-        if budget is not None and self.solver.num_clauses > budget:
-            return DepthOutcome(status="unknown", metrics=metrics,
-                                detail=dict(detail, budget_exceeded=True))
         deadline = (None if time_limit is None
                     else time.perf_counter() + time_limit)
         guard_lit = self.outer_map[guard]
-        with obs.span("qbf.solve", depth=depth, solver="expansion",
-                      incremental=True):
+        with obs.span("qbf.solve", depth=depth, incremental=True):
             result = self.solver.solve(time_limit=time_limit, tick=tick,
                                        assumptions=[guard_lit])
-        metrics.update({
-            "qbf.decisions": result.decisions,
-            "qbf.propagations": result.propagations,
-            "qbf.conflicts": result.conflicts,
-            "sat.incremental.warm_conflicts": result.conflicts,
-        })
+        metrics.update(_search_metrics(result))
+        metrics["sat.incremental.warm_conflicts"] = result.conflicts
         if result.status == "unknown":
             return DepthOutcome(status="unknown", metrics=metrics,
                                 detail=dict(detail, timeout=True))

@@ -53,11 +53,10 @@ __all__ = ["SatBaselineEngine"]
 class SatBaselineEngine:
     """Per-truth-table-row SAT encoding plus CDCL solving.
 
-    ``select_encoding`` chooses how the gate choice per cascade position
-    is encoded: ``"binary"`` uses ``ceil(log2 q)`` select variables and
-    the universal-gate construction; ``"onehot"`` uses one selector
-    variable per gate with an exactly-one constraint — the encoding
-    style of [9].  Ablation A5 compares the two.
+    The gate choice per cascade position is encoded in binary:
+    ``ceil(log2 q)`` select variables feed the universal-gate
+    construction.  Ablation A5 compares it against [9]'s one-hot
+    selectors, built next to its bench.
 
     ``incremental`` (default on) enables the warm-solver deepening mode
     whenever the driver opens an engine session; a bare ``decide()``
@@ -67,17 +66,13 @@ class SatBaselineEngine:
     name = "sat"
 
     def __init__(self, spec: Specification, library: GateLibrary,
-                 select_encoding: str = "binary",
                  incremental: bool = True,
                  cancel_token: Optional[CancelToken] = None):
         if library.n_lines != spec.n_lines:
             raise ValueError("library and specification widths differ")
-        if select_encoding not in ("binary", "onehot"):
-            raise ValueError("select_encoding must be 'binary' or 'onehot'")
         self.cancel_token = as_token(cancel_token)
         self.spec = spec
         self.library = library
-        self.select_encoding = select_encoding
         self.incremental = bool(incremental)
         self.n = spec.n_lines
         self.width = library.select_bits()
@@ -115,8 +110,6 @@ class SatBaselineEngine:
         Exposed separately so ablation A4 can measure encoding sizes
         without solving.
         """
-        if self.select_encoding == "onehot":
-            return self._encode_onehot(depth)
         cnf = Cnf()
         select_vars = [[cnf.new_var() for _ in range(self.width)]
                        for _ in range(depth)]
@@ -133,35 +126,6 @@ class SatBaselineEngine:
             for position in range(depth):
                 lines = universal_gate_stage(lines, select_exprs[position],
                                              self.library, algebra)
-            for l, value in enumerate(row):
-                if value is None:
-                    continue
-                builder.assert_true(
-                    builder.xnor(lines[l], builder.const(bool(value))))
-        return cnf, select_vars
-
-    def _encode_onehot(self, depth: int) -> "tuple[Cnf, List[List[int]]]":
-        """One selector variable per (position, gate), exactly-one each."""
-        cnf = Cnf()
-        q = self.library.size()
-        select_vars = [[cnf.new_var() for _ in range(q)] for _ in range(depth)]
-        for block in select_vars:
-            cnf.add_clause(block)  # at least one gate selected
-            for i in range(q):
-                for j in range(i + 1, q):
-                    cnf.add_clause((-block[i], -block[j]))  # at most one
-        builder = ExprBuilder(cnf)
-        algebra = ExprAlgebra(builder)
-
-        for row_input, row in enumerate(self.spec.rows):
-            self.cancel_token.raise_if_cancelled()
-            if all(value is None for value in row):
-                continue
-            lines = [builder.const(bool((row_input >> l) & 1))
-                     for l in range(self.n)]
-            for position in range(depth):
-                lines = _onehot_stage(lines, select_vars[position],
-                                      self.library, builder, algebra)
             for l, value in enumerate(row):
                 if value is None:
                     continue
@@ -223,28 +187,10 @@ class SatBaselineEngine:
     def _decode(self, model, select_vars: List[List[int]]) -> Circuit:
         gates = []
         for block in select_vars:
-            if self.select_encoding == "onehot":
-                chosen = [k for k, var in enumerate(block) if model[var]]
-                assert len(chosen) == 1, "exactly-one constraint violated"
-                gates.append(self.library[chosen[0]])
-                continue
             code = sum((1 << j) for j, var in enumerate(block) if model[var])
             if code < self.library.size():
                 gates.append(self.library[code])
         return Circuit(self.n, gates)
-
-
-def _onehot_stage(lines, select_block, library: GateLibrary,
-                  builder: ExprBuilder, algebra: ExprAlgebra):
-    """One cascade stage under the one-hot selector encoding."""
-    n = library.n_lines
-    deltas = [builder.false] * n
-    for code, gate in enumerate(library):
-        selector = builder.var(select_block[code])
-        for line, delta in gate.symbolic_deltas(lines, algebra).items():
-            contribution = builder.and_([selector, delta])
-            deltas[line] = builder.or_([deltas[line], contribution])
-    return [builder.xor(lines[l], deltas[l]) for l in range(n)]
 
 
 class _IncrementalSatSession:
@@ -296,26 +242,14 @@ class _IncrementalSatSession:
         engine = self.engine
         while len(self.select_blocks) < depth:
             engine.cancel_token.raise_if_cancelled()
-            if engine.select_encoding == "onehot":
-                q = engine.library.size()
-                block = [self.cnf.new_var() for _ in range(q)]
-                self.cnf.add_clause(block)
-                for i in range(q):
-                    for j in range(i + 1, q):
-                        self.cnf.add_clause((-block[i], -block[j]))
-            else:
-                block = [self.cnf.new_var() for _ in range(engine.width)]
-                select_exprs = [self.builder.var(v) for v in block]
+            block = [self.cnf.new_var() for _ in range(engine.width)]
+            select_exprs = [self.builder.var(v) for v in block]
             self.select_blocks.append(block)
             new_snapshot: List[Tuple[int, list]] = []
             for row_input, lines in self.snapshots[-1]:
                 engine.cancel_token.raise_if_cancelled()
-                if engine.select_encoding == "onehot":
-                    new_lines = _onehot_stage(lines, block, engine.library,
-                                              self.builder, self.algebra)
-                else:
-                    new_lines = universal_gate_stage(
-                        lines, select_exprs, engine.library, self.algebra)
+                new_lines = universal_gate_stage(
+                    lines, select_exprs, engine.library, self.algebra)
                 new_snapshot.append((row_input, new_lines))
             self.snapshots.append(new_snapshot)
 

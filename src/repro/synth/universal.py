@@ -285,8 +285,7 @@ def canonical_select_order(select_blocks: Sequence[Sequence[int]]) -> List[int]:
     :func:`repro.sat.incremental.lexmin_model`) yields the smallest
     gate-code sequence among all realizing cascades: earlier cascade
     positions dominate, and within a position the code value itself is
-    minimized.  The same rule covers the one-hot encoding — reversing a
-    one-hot block makes lexmin prefer the lowest selected gate index.
+    minimized.
 
     This ordering is what makes the warm (incremental) and cold
     (scratch) solver paths return the *same* circuit: the minimum

@@ -13,7 +13,7 @@ from repro.core.circuit import Circuit
 from repro.core.library import GateLibrary
 from repro.core.spec import Specification
 from tests.qbf.bruteforce import brute_force_qbf
-from repro.qbf.qdpll import solve_qbf
+from tests.qbf.qdpll import solve_qbf
 from repro.synth.bdd_engine import BddSynthesisEngine
 from repro.synth.qbf_engine import QbfSolverEngine
 from repro.synth.sat_engine import SatBaselineEngine

@@ -3,9 +3,11 @@
 import multiprocessing
 import os
 import signal
+import threading
 
 import pytest
 
+from repro.core.cancel import CancelToken
 from repro.core.spec import Specification
 from repro.functions import get_spec
 import repro.obs as obs
@@ -96,3 +98,35 @@ def test_dead_depth_server_raises_and_leaves_no_child(monkeypatch):
         synthesize(get_spec("3_17"), engine="sat", workers=2,
                    time_limit=60)
     assert multiprocessing.active_children() == []
+
+
+class TestCallerCancellation:
+    """A pipelined run honours the caller's token like a serial run."""
+
+    def test_token_set_before_the_run(self):
+        event = threading.Event()
+        event.set()
+        token = CancelToken(event)
+        serial = synthesize(get_spec("3_17"), engine="sat",
+                            cancel_token=token)
+        piped = synthesize(get_spec("3_17"), engine="sat", workers=2,
+                           cancel_token=token)
+        assert serial.status == piped.status == "cancelled"
+        assert serial.per_depth == piped.per_depth == []
+
+    def test_token_set_mid_run(self):
+        stop = threading.Event()
+
+        def cancel_after_depth_one(event):
+            if event["event"] == "depth_refuted" and event["depth"] == 1:
+                stop.set()
+
+        unsubscribe = obs.subscribe(cancel_after_depth_one)
+        try:
+            result = synthesize(get_spec("3_17"), engine="sat", workers=2,
+                                time_limit=120, cancel_token=CancelToken(stop))
+        finally:
+            unsubscribe()
+        assert result.status == "cancelled"
+        assert [(s.depth, s.decision) for s in result.per_depth] \
+            == [(0, "unsat"), (1, "unsat")]

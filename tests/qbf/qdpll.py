@@ -1,7 +1,11 @@
-"""A search-based QBF solver (QDPLL).
+"""Test-only QBF decision procedures: QDPLL search and expansion + CDCL.
 
-The role skizzo [2] plays in the paper: a complete decision procedure for
-prenex QCNF.  The solver extends DPLL to quantified formulas:
+A second, independent way to decide the prenex QCNF instances the QBF
+engine encodes: the tests cross-check it against the brute-force
+evaluator and the engines, and ablation A2
+(``benchmarks/bench_ablation_qbf_solvers.py``) times it against the
+engine's universal expansion.  The search extends DPLL to quantified
+formulas:
 
 * **prefix-order branching** — decisions follow the quantifier prefix;
   existential variables are OR-branched, universal variables AND-branched
@@ -29,11 +33,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.qbf.qcnf import QuantifiedCnf
+from repro.qbf.expansion import expand_to_cnf
+from repro.qbf.qcnf import FORALL, QuantifiedCnf
+from repro.sat.cdcl import solve_cnf
 
-__all__ = ["QbfResult", "QdpllSolver", "solve_qbf"]
+__all__ = ["QbfResult", "QdpllSolver", "solve_qbf", "solve_qbf_by_expansion"]
 
 _UNASSIGNED = 0
 _TRUE = 1
@@ -86,7 +92,6 @@ class QdpllSolver:
         self.outer_block = formula.outer_existential_block()
         self.result = QbfResult(status="unknown")
         self._deadline: Optional[float] = None
-        self._tick: Optional[Callable[[], None]] = None
         self._contradiction = False
 
         # Clause store with counters, built by preprocessing.
@@ -251,12 +256,9 @@ class QdpllSolver:
 
     # -- search ------------------------------------------------------------------------------
 
-    def solve(self, time_limit: Optional[float] = None,
-              tick: Optional[Callable[[], None]] = None) -> QbfResult:
-        """Run the search.  ``tick`` is invoked at every search-node entry
-        and may raise to abort cooperatively (parallel cancellation)."""
+    def solve(self, time_limit: Optional[float] = None) -> QbfResult:
+        """Run the search."""
         start = time.perf_counter()
-        self._tick = tick
         if time_limit is not None:
             self._deadline = start + time_limit
         if self._contradiction:
@@ -278,8 +280,6 @@ class QdpllSolver:
         return self.result
 
     def _search(self) -> bool:
-        if self._tick is not None:
-            self._tick()
         if self._deadline is not None and time.perf_counter() > self._deadline:
             raise _Timeout
         mark = len(self.trail)
@@ -326,3 +326,24 @@ def solve_qbf(formula: QuantifiedCnf,
               time_limit: Optional[float] = None) -> QbfResult:
     """Convenience wrapper: solve with a fresh QDPLL instance."""
     return QdpllSolver(formula).solve(time_limit=time_limit)
+
+
+def solve_qbf_by_expansion(formula: QuantifiedCnf,
+                           time_limit: Optional[float] = None) -> QbfResult:
+    """Decide a QBF by full universal expansion plus one CDCL call."""
+    start = time.perf_counter()
+    universals = sum(len(variables) for quantifier, variables in formula.prefix
+                     if quantifier == FORALL)
+    cnf, outer = expand_to_cnf(formula)
+    sat = solve_cnf(cnf, time_limit=time_limit)
+    result = QbfResult(status=sat.status,
+                       decisions=sat.decisions,
+                       propagations=sat.propagations,
+                       conflicts=sat.conflicts,
+                       expanded_universals=universals,
+                       expanded_clauses=len(cnf.clauses),
+                       runtime=time.perf_counter() - start)
+    if sat.is_sat:
+        assert sat.model is not None
+        result.model = {v: sat.model[v] for v in outer}
+    return result

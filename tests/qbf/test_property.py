@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.qbf.bruteforce import brute_force_qbf
-from repro.qbf.expansion import solve_qbf_by_expansion
+from tests.qbf.qdpll import solve_qbf, solve_qbf_by_expansion
 from repro.qbf.qcnf import QuantifiedCnf
-from repro.qbf.qdpll import solve_qbf
 from repro.sat.cnf import Cnf
 
 N_VARS = 5

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.qbf.qcnf import EXISTS, FORALL, QuantifiedCnf
-from repro.qbf.qdpll import QdpllSolver
 from repro.sat.cnf import Cnf
+from tests.qbf.qdpll import QdpllSolver
 
 
 def build(prefix, n_vars, clauses):

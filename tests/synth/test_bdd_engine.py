@@ -1,4 +1,4 @@
-"""BDD-engine specifics: incrementality, variable orders, extraction."""
+"""BDD-engine specifics: incrementality, extraction."""
 
 import pytest
 
@@ -48,32 +48,6 @@ class TestIncrementalVsMonolithic:
         assert engine.decide(2).status == "unsat"
         assert engine.decide(0).status == "unsat"
         assert engine.decide(1).status == "sat"
-
-
-class TestVariableOrders:
-    def test_yx_order_requires_monolithic(self):
-        with pytest.raises(ValueError):
-            BddSynthesisEngine(cnot_spec(), GateLibrary.mct(2),
-                               var_order="yx")
-
-    def test_yx_order_gives_same_answers(self):
-        spec = cnot_spec()
-        library = GateLibrary.mct(2)
-        yx = BddSynthesisEngine(spec, library, incremental=False,
-                                var_order="yx")
-        xy = BddSynthesisEngine(spec, library, incremental=False,
-                                var_order="xy")
-        for depth in range(3):
-            a = yx.decide(depth)
-            b = xy.decide(depth)
-            assert a.status == b.status
-            if a.status == "sat":
-                assert a.num_solutions == b.num_solutions
-
-    def test_unknown_order_rejected(self):
-        with pytest.raises(ValueError):
-            BddSynthesisEngine(cnot_spec(), GateLibrary.mct(2),
-                               var_order="zz")
 
 
 class TestExtraction:

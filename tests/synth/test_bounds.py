@@ -138,35 +138,3 @@ class TestPlanDepthRange:
                             use_bounds=True)
         assert result.realized
         assert [s.depth for s in result.per_depth][0] == start
-
-
-class TestOneHotEncoding:
-    def test_onehot_agrees_with_binary(self, rng):
-        from repro.synth.sat_engine import SatBaselineEngine
-        for _ in range(4):
-            spec = random_small_spec(rng, 2, seed_gates=rng.randint(0, 2))
-            library = GateLibrary.mct(2)
-            binary = SatBaselineEngine(spec, library, select_encoding="binary")
-            onehot = SatBaselineEngine(spec, library, select_encoding="onehot")
-            for depth in range(3):
-                a = binary.decide(depth)
-                b = onehot.decide(depth)
-                # One-hot has no identity padding: it answers "exactly
-                # depth gates", binary "at most" when padding exists;
-                # at the first satisfiable depth both must agree.
-                if a.status == "sat" and b.status == "sat":
-                    assert spec.matches_circuit(b.circuits[0])
-
-    def test_onehot_full_synthesis(self):
-        spec = Specification.from_permutation((7, 1, 4, 3, 0, 2, 6, 5),
-                                              name="3_17")
-        result = synthesize(spec, engine="sat", select_encoding="onehot",
-                            time_limit=300)
-        assert result.realized and result.depth == 6
-
-    def test_unknown_encoding_rejected(self):
-        from repro.synth.sat_engine import SatBaselineEngine
-        spec = Specification.from_permutation((0, 1))
-        with pytest.raises(ValueError):
-            SatBaselineEngine(spec, GateLibrary.mct(1),
-                              select_encoding="gray")

@@ -1,4 +1,4 @@
-"""QBF-engine specifics: prefix shape, polynomial size, both solvers."""
+"""QBF-engine specifics: prefix shape, polynomial size, decisions."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from repro.core.spec import Specification
 from repro.functions.parametric import graycode
 from repro.qbf.qcnf import EXISTS, FORALL
 from repro.synth.qbf_engine import QbfSolverEngine
+from tests.qbf.qdpll import solve_qbf
 
 
 def cnot_spec():
@@ -59,30 +60,34 @@ class TestEncoding:
         assert len(cnf.clauses) > 0
 
 
+def decide_by_qdpll(engine, depth):
+    """The engine's depth-``d`` encoding decided by the test-only QDPLL;
+    returns the status and, when satisfiable, the decoded circuit."""
+    formula, select_vars = engine.encode(depth)
+    result = solve_qbf(formula)
+    if not result.is_sat:
+        return result.status, None
+    return result.status, engine._decode(result.model, select_vars)
+
+
 class TestSolvers:
     @pytest.mark.parametrize("solver", ["qdpll", "expansion"])
     def test_both_solvers_agree_on_cnot(self, solver):
-        engine = QbfSolverEngine(cnot_spec(), GateLibrary.mct(2),
-                                 solver=solver)
-        assert engine.decide(0).status == "unsat"
-        outcome = engine.decide(1)
-        assert outcome.status == "sat"
-        assert cnot_spec().matches_circuit(outcome.circuits[0])
-
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError):
-            QbfSolverEngine(cnot_spec(), GateLibrary.mct(2), solver="alien")
-
-    def test_expansion_budget_yields_unknown(self):
-        engine = QbfSolverEngine(cnot_spec(), GateLibrary.mct(2),
-                                 solver="expansion",
-                                 expansion_clause_budget=1)
-        assert engine.decide(1).status == "unknown"
+        engine = QbfSolverEngine(cnot_spec(), GateLibrary.mct(2))
+        if solver == "qdpll":
+            assert decide_by_qdpll(engine, 0)[0] == "unsat"
+            status, circuit = decide_by_qdpll(engine, 1)
+        else:
+            assert engine.decide(0).status == "unsat"
+            outcome = engine.decide(1)
+            status, circuit = outcome.status, outcome.circuits[0]
+        assert status == "sat"
+        assert cnot_spec().matches_circuit(circuit)
 
     def test_timeout_reports_unknown(self):
         spec = Specification.from_permutation((7, 1, 4, 3, 0, 2, 6, 5))
-        engine = QbfSolverEngine(spec, GateLibrary.mct(3), solver="qdpll")
-        assert engine.decide(5, time_limit=0.05).status == "unknown"
+        engine = QbfSolverEngine(spec, GateLibrary.mct(3))
+        assert engine.decide(5, time_limit=0.0).status == "unknown"
 
     def test_incompletely_specified_synthesis(self):
         spec = Specification(2, [(0, None), (1, None),
@@ -101,9 +106,8 @@ class TestIncrementalSession:
 
     def test_session_matches_scratch_per_depth(self):
         library = GateLibrary.mct(3)
-        cold = QbfSolverEngine(self.spec(), library, solver="expansion",
-                               incremental=False)
-        warm = QbfSolverEngine(self.spec(), library, solver="expansion")
+        cold = QbfSolverEngine(self.spec(), library, incremental=False)
+        warm = QbfSolverEngine(self.spec(), library)
         assert not cold.begin_session()
         assert warm.begin_session()
         try:
@@ -120,30 +124,8 @@ class TestIncrementalSession:
             cold.end_session()
             warm.end_session()
 
-    def test_qdpll_never_opens_a_session(self):
-        engine = QbfSolverEngine(cnot_spec(), GateLibrary.mct(2),
-                                 solver="qdpll")
-        assert engine.incremental
-        assert not engine.begin_session()
-        outcome = engine.decide(1)
-        assert outcome.detail["incremental"] is False
-        engine.end_session()
-
-    def test_session_respects_expansion_budget(self):
-        engine = QbfSolverEngine(cnot_spec(), GateLibrary.mct(2),
-                                 solver="expansion",
-                                 expansion_clause_budget=1)
-        assert engine.begin_session()
-        try:
-            outcome = engine.decide(1)
-            assert outcome.status == "unknown"
-            assert outcome.detail.get("budget_exceeded") is True
-        finally:
-            engine.end_session()
-
     def test_session_reuses_clauses(self):
-        engine = QbfSolverEngine(self.spec(), GateLibrary.mct(3),
-                                 solver="expansion")
+        engine = QbfSolverEngine(self.spec(), GateLibrary.mct(3))
         assert engine.begin_session()
         try:
             first = engine.decide(2)

@@ -80,14 +80,10 @@ class TestIncrementalSession:
         return Specification.from_permutation((7, 1, 4, 3, 0, 2, 6, 5),
                                               name="3_17")
 
-    @pytest.mark.parametrize("select_encoding", ["binary", "onehot"])
-    def test_session_matches_scratch_per_depth(self, select_encoding):
+    def test_session_matches_scratch_per_depth(self):
         library = GateLibrary.mct(3)
-        cold = SatBaselineEngine(self.spec(), library,
-                                 select_encoding=select_encoding,
-                                 incremental=False)
-        warm = SatBaselineEngine(self.spec(), library,
-                                 select_encoding=select_encoding)
+        cold = SatBaselineEngine(self.spec(), library, incremental=False)
+        warm = SatBaselineEngine(self.spec(), library)
         assert not cold.begin_session()
         assert warm.begin_session()
         try:
