@@ -1,4 +1,4 @@
-"""Native kernel over the v3 packed BDD tables.
+"""The native kernel: the v3 packed BDD tables and the CDCL search loop.
 
 The v3 manager stores nodes and tables in flat ``array`` buffers
 precisely so that the innermost apply loops stop being interpreter
@@ -35,13 +35,20 @@ chains and counts come out identical either way.  ``bdd_chain`` has no
 such counterpart: only the kernel path pre-extends the free list; a
 pure-Python manager appends new nodes instead.
 
+**The CDCL search loop.**  The same library carries the search loop
+of :class:`repro.sat.cdcl.CdclSolver`, whose C source lives in
+:mod:`repro.sat.kernel` and is appended to this one at build time:
+one compile, one cache entry, one opt-out for both.  The two sides
+open the library with their own declarations (``load_kernel`` and
+``load_cdcl_kernel``), so a process parses only what it uses.
+
 **Gating.**  ``load_kernel()`` memoizes a build attempt; if ``cffi``
 or a C compiler is missing, or ``REPRO_BDD_KERNEL=0`` is set, it
-returns ``None`` and the manager falls back to the pure-Python
-iterative loops with identical semantics.  The compiled library is
-cached under ``_kcache/`` next to this file (gitignored) keyed by a
-hash of the C source, so the one-time compile cost is paid per source
-revision, not per process.
+returns ``None`` and the BDD manager and the CDCL solver fall back to
+their pure-Python loops with identical semantics.  The compiled
+library is cached under ``_kcache/`` next to this file (gitignored)
+keyed by a hash of the C source and the compiler flags, so the
+one-time compile cost is paid per source revision, not per process.
 """
 
 from __future__ import annotations
@@ -51,9 +58,9 @@ import os
 import subprocess
 import sys
 import tempfile
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["load_kernel", "kernel_available"]
+__all__ = ["load_kernel", "load_cdcl_kernel", "kernel_available"]
 
 # Layout must match the manager's tables exactly: var is an ``array('i')``
 # of levels (-1 terminal, -2 free), utab an ``array('i')`` of node
@@ -517,25 +524,35 @@ oom:
 }
 """
 
-_kernel: Tuple[Optional[Any], Optional[Any]] = (None, None)
-_attempted = False
+# No floating-point contraction: the CDCL activity arithmetic must round
+# exactly as Python's does.
+_CFLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
+
+_library: Optional[str] = None
+_built = False
+_opened: Dict[str, Tuple[Optional[Any], Optional[Any]]] = {}
 
 
 def _cache_dir() -> str:
     return os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kcache")
 
 
-def _build() -> Optional[Tuple[Any, Any]]:
+def _build() -> Optional[str]:
+    """Compile the library (or find it cached); its path, or None."""
     if os.environ.get("REPRO_BDD_KERNEL", "1") == "0":
         return None
     from array import array
     if array("i").itemsize != 4 or array("q").itemsize != 8:
         return None  # exotic ABI; the table layout assumption fails
     try:
-        import cffi
+        import cffi  # noqa: F401  (only its presence is checked here)
     except ImportError:
         return None
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    from repro.sat import kernel as cdcl_kernel  # repro.sat imports us
+
+    source = _SOURCE + cdcl_kernel.SOURCE
+    digest = hashlib.sha256(
+        " ".join(_CFLAGS + [source]).encode()).hexdigest()[:16]
     directory = _cache_dir()
     so_path = os.path.join(directory, f"bddkernel_{digest}.so")
     if not os.path.exists(so_path):
@@ -544,39 +561,60 @@ def _build() -> Optional[Tuple[Any, Any]]:
             with tempfile.TemporaryDirectory(dir=directory) as tmp:
                 c_path = os.path.join(tmp, "kernel.c")
                 with open(c_path, "w") as handle:
-                    handle.write(_SOURCE)
+                    handle.write(source)
                 tmp_so = os.path.join(tmp, "kernel.so")
                 cc = os.environ.get("CC", "cc")
                 subprocess.run(
-                    [cc, "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
+                    [cc, *_CFLAGS, "-o", tmp_so, c_path],
                     check=True, capture_output=True, timeout=120)
                 # Atomic publish so concurrent processes race safely.
                 os.replace(tmp_so, so_path)
         except (OSError, subprocess.SubprocessError):
             return None
-    try:
-        ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
-        lib = ffi.dlopen(so_path)
-    except (OSError, cffi.FFIError, cffi.CDefError):
-        return None
-    return ffi, lib
+    return so_path
+
+
+def _open(cdef: str) -> Tuple[Optional[Any], Optional[Any]]:
+    """``(ffi, lib)`` over the library with the declarations ``cdef``.
+
+    Memoized per declaration set, so a process parses only the
+    declarations it uses: a BDD-only run never parses the solver's.
+    """
+    global _library, _built
+    if cdef not in _opened:
+        if not _built:
+            _built = True
+            _library = _build()
+        _opened[cdef] = (None, None)
+        if _library is not None:
+            import cffi
+            try:
+                ffi = cffi.FFI()
+                ffi.cdef(cdef)
+                _opened[cdef] = (ffi, ffi.dlopen(_library))
+            except (OSError, cffi.FFIError, cffi.CDefError):
+                pass
+    return _opened[cdef]
 
 
 def load_kernel() -> Tuple[Optional[Any], Optional[Any]]:
-    """Return ``(ffi, lib)`` for the compiled kernel, or ``(None, None)``.
+    """Return ``(ffi, lib)`` for the BDD kernel, or ``(None, None)``.
 
     The build attempt is memoized per process; failures (no compiler,
     no cffi, opt-out via ``REPRO_BDD_KERNEL=0``) degrade silently to
     the pure-Python loops.
     """
-    global _kernel, _attempted
-    if not _attempted:
-        _attempted = True
-        built = _build()
-        if built is not None:
-            _kernel = built
-    return _kernel
+    return _open(_CDEF)
+
+
+def load_cdcl_kernel() -> Tuple[Optional[Any], Optional[Any]]:
+    """Return ``(ffi, lib)`` for the CDCL search loop, or ``(None, None)``.
+
+    The same library and the same gating as :func:`load_kernel`.
+    """
+    from repro.sat import kernel as cdcl_kernel  # repro.sat imports us
+
+    return _open(cdcl_kernel.CDEF)
 
 
 def kernel_available() -> bool:

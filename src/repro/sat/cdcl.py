@@ -21,7 +21,20 @@ The public API speaks DIMACS literals (``v`` / ``-v``): clauses,
 assumptions, the model and the core.  Inside the solver a literal is
 *coded* as ``2v`` (positive) or ``2v + 1`` (negative), so negation is
 ``code ^ 1``, the variable is ``code >> 1``, and the value array and the
-watch lists are plain lists indexed by the code.
+watch lists are indexed by the code.
+
+**Two implementations of one search.**  When the native kernel is
+available (:func:`repro.bdd.tables.load_cdcl_kernel`), the search loop —
+propagation, conflict analysis, activity bumps, backtracking, decisions,
+learnt-clause attachment and the database reduction — runs in C
+(:mod:`repro.sat.kernel`) over solver state the C side owns.  Otherwise
+the pure-Python loops below run; they are the reference, and the C code
+is their transcription: both make the same search decision for
+decision, so every count in ``SatResult`` is the same either way.  In
+both cases Python keeps the API, the root simplification of
+``add_clause``, the model and core hand-off, and the policy: the native
+loop returns every 256 conflicts and at the conflict limit, so ``tick``
+and the deadline run where the Python loop runs them.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.bdd.tables import load_cdcl_kernel
 from repro.sat.cnf import Cnf
 
 __all__ = ["SatResult", "CdclSolver", "solve_cnf", "luby"]
@@ -121,10 +135,41 @@ class CdclSolver:
     variable (plus assigned ones not yet popped) ordered that way; its
     position array lets a bump sift a variable up in place and lets
     backtracking re-insert only the variables that are absent.
+
+    ``use_kernel=None`` runs the search in the native kernel when it is
+    available; ``False`` forces the pure-Python loops, ``True`` requires
+    the kernel.  On the native path the C side owns the search state and
+    ``value`` is a view of its value array (same codes, same 1/-1/0
+    encoding); the pure-Python internals (watch lists, heap, trail) do
+    not exist.
     """
 
-    def __init__(self, cnf: Optional[Cnf] = None):
+    def __init__(self, cnf: Optional[Cnf] = None,
+                 use_kernel: Optional[bool] = None):
         self.nv = 0
+        self._contradiction = False
+        self.stats = SatResult(status="unknown")
+        self._native = None
+        if use_kernel or use_kernel is None:
+            ffi, lib = load_cdcl_kernel()
+            if ffi is not None:
+                native = lib.cdcl_new()
+                if native == ffi.NULL:
+                    raise MemoryError("cannot allocate the native solver")
+                self._ffi, self._lib = ffi, lib
+                self._native = ffi.gc(native, lib.cdcl_free)
+                self.value = self._native.value
+            elif use_kernel:
+                raise RuntimeError("native kernel unavailable "
+                                   "(no cffi/C compiler, or REPRO_BDD_KERNEL=0)")
+        if self._native is None:
+            self._init_python()
+        if cnf is not None:
+            self.ensure_vars(cnf.num_vars)
+            for clause in cnf.clauses:
+                self.add_clause(clause)
+
+    def _init_python(self) -> None:
         # Per literal code (index 0/1 is the unused variable 0).
         self.value: List[int] = [_UNDEF, _UNDEF]
         self.watches: List[List[_Clause]] = [[], []]
@@ -145,18 +190,18 @@ class CdclSolver:
         self.var_decay = 0.95
         self.cla_inc = 1.0
         self.cla_decay = 0.999
-        self._contradiction = False
-        self.stats = SatResult(status="unknown")
-        if cnf is not None:
-            self.ensure_vars(cnf.num_vars)
-            for clause in cnf.clauses:
-                self.add_clause(clause)
 
     # -- variable management -----------------------------------------------------
 
     def ensure_vars(self, num_vars: int) -> None:
         """Grow the variable arrays so variables ``1..num_vars`` exist."""
         if num_vars <= self.nv:
+            return
+        if self._native is not None:
+            if self._lib.cdcl_grow(self._native, num_vars) < 0:
+                raise MemoryError("native solver out of memory")
+            self.value = self._native.value  # the array may have moved
+            self.nv = num_vars
             return
         grow = num_vars - self.nv
         self.value.extend([_UNDEF] * (2 * grow))
@@ -178,10 +223,14 @@ class CdclSolver:
 
     @property
     def num_clauses(self) -> int:
+        if self._native is not None:
+            return self._native.n_clauses
         return len(self.clauses)
 
     @property
     def num_learnts(self) -> int:
+        if self._native is not None:
+            return self._native.n_learnts
         return len(self.learnts)
 
     # -- decision heap -------------------------------------------------------------
@@ -272,7 +321,9 @@ class CdclSolver:
         """
         if self._contradiction:
             return False
-        self._cancel_until(0)
+        native = self._native
+        if native is None:  # solve() leaves the native solver at the root
+            self._cancel_until(0)
         seen = set()
         cleaned: List[int] = []
         for lit in literals:
@@ -294,6 +345,12 @@ class CdclSolver:
         if not cleaned:
             self._contradiction = True
             return False
+        if native is not None:
+            # A root unit cannot conflict: root-false literals were
+            # dropped above.
+            if self._lib.cdcl_add(native, cleaned, len(cleaned)) < 0:
+                raise MemoryError("native solver out of memory")
+            return True
         if len(cleaned) == 1:
             if not self._enqueue(cleaned[0], None):
                 self._contradiction = True
@@ -618,120 +675,177 @@ class CdclSolver:
         # the fresh object is what makes consecutive calls return
         # independent statistics.
         self.stats = stats
-        value = self.value
-        trail_lim = self.trail_lim
         try:
             if self._contradiction:
                 stats.status = "unsat"
                 stats.core = []
-                return stats
-            if self._propagate() is not None:
-                self._contradiction = True
-                stats.status = "unsat"
-                stats.core = []
-                return stats
-            # An already-expired budget must report "unknown" even when
-            # the instance would solve in fewer conflicts than the
-            # periodic in-loop deadline check (every 256 conflicts) ever
-            # sees.
-            if (time_limit is not None
-                    and time.perf_counter() - start > time_limit):
-                return stats
-
-            restart_index = 1
-            restart_base = 100
-            conflicts_until_restart = restart_base * luby(restart_index)
-            max_learnts = max(1000, len(self.clauses) // 3)
-            conflicts_since_restart = 0
-
-            while True:
-                conflict = self._propagate()
-                if conflict is not None:
-                    stats.conflicts += 1
-                    conflicts_since_restart += 1
-                    if not trail_lim:
-                        self._contradiction = True
-                        stats.status = "unsat"
-                        stats.core = []
-                        break
-                    learnt, backjump = self._analyze(conflict)
-                    self._cancel_until(backjump)
-                    if len(learnt) == 1:
-                        self._enqueue(learnt[0], None)
-                    else:
-                        clause = _Clause(learnt, learnt=True)
-                        clause.lbd = self._compute_lbd(learnt)
-                        self.learnts.append(clause)
-                        stats.learnt_clauses += 1
-                        self._watch(clause)
-                        self._enqueue(learnt[0], clause)
-                    self.var_inc /= self.var_decay
-                    self.cla_inc /= self.cla_decay
-                    if (conflict_limit is not None
-                            and stats.conflicts >= conflict_limit):
-                        break
-                    if (stats.conflicts & 255) == 0:
-                        if tick is not None:
-                            tick()
-                        if (time_limit is not None
-                                and time.perf_counter() - start > time_limit):
-                            break
-                else:
-                    if conflicts_since_restart >= conflicts_until_restart:
-                        stats.restarts += 1
-                        restart_index += 1
-                        conflicts_until_restart = \
-                            restart_base * luby(restart_index)
-                        conflicts_since_restart = 0
-                        self._cancel_until(0)
-                        continue
-                    if len(self.learnts) > max_learnts + len(self.trail):
-                        self._reduce_db()
-                        max_learnts = int(max_learnts * 1.1)
-                    # Replay assumptions as decisions at levels 1..k
-                    # before any free decision (restarts and backjumps
-                    # may have unwound some of them).
-                    next_lit = 0
-                    failed = 0
-                    while len(trail_lim) < len(assumed):
-                        p = assumed[len(trail_lim)]
-                        if value[p] == _TRUE:
-                            # Already implied: dummy level keeps the
-                            # level<->assumption-index correspondence.
-                            trail_lim.append(len(self.trail))
-                        elif value[p] == _FALSE:
-                            failed = p
-                            break
-                        else:
-                            next_lit = p
-                            break
-                    if failed:
-                        stats.status = "unsat"
-                        stats.core = self._final_conflict(failed)
-                        break
-                    if next_lit == 0:
-                        var = self._pick_branch_var()
-                        if var == 0:
-                            stats.status = "sat"
-                            stats.model = {
-                                v: value[2 * v] == _TRUE
-                                if value[2 * v] != _UNDEF
-                                else self.saved_phase[v]
-                                for v in range(1, self.nv + 1)
-                            }
-                            break
-                        stats.decisions += 1
-                        next_lit = 2 * var if self.saved_phase[var] \
-                            else 2 * var + 1
-                    trail_lim.append(len(self.trail))
-                    self._enqueue(next_lit, None)
+            elif self._native is not None:
+                self._search_native(stats, assumed, conflict_limit,
+                                    time_limit, tick, start)
+            else:
+                self._search(stats, assumed, conflict_limit, time_limit,
+                             tick, start)
         finally:
             # Leave the solver at the root level so the caller can add
             # clauses and re-solve; learnt clauses, activity and phases
             # survive the cancellation.
-            self._cancel_until(0)
+            if self._native is not None:
+                self._lib.cdcl_cancel(self._native, 0)
+            else:
+                self._cancel_until(0)
             stats.runtime = time.perf_counter() - start
         return stats
+
+    def _search(self, stats: SatResult, assumed: List[int],
+                conflict_limit: Optional[int], time_limit: Optional[float],
+                tick: Optional[Callable[[], None]], start: float) -> None:
+        """The pure-Python search loop; fills ``stats``."""
+        value = self.value
+        trail_lim = self.trail_lim
+        if self._propagate() is not None:
+            self._contradiction = True
+            stats.status = "unsat"
+            stats.core = []
+            return
+        # An already-expired budget must report "unknown" even when
+        # the instance would solve in fewer conflicts than the
+        # periodic in-loop deadline check (every 256 conflicts) ever
+        # sees.
+        if time_limit is not None and time.perf_counter() - start > time_limit:
+            return
+
+        restart_index = 1
+        restart_base = 100
+        conflicts_until_restart = restart_base * luby(restart_index)
+        max_learnts = max(1000, len(self.clauses) // 3)
+        conflicts_since_restart = 0
+
+        while True:
+            conflict = self._propagate()
+            if conflict is not None:
+                stats.conflicts += 1
+                conflicts_since_restart += 1
+                if not trail_lim:
+                    self._contradiction = True
+                    stats.status = "unsat"
+                    stats.core = []
+                    return
+                learnt, backjump = self._analyze(conflict)
+                self._cancel_until(backjump)
+                if len(learnt) == 1:
+                    self._enqueue(learnt[0], None)
+                else:
+                    clause = _Clause(learnt, learnt=True)
+                    clause.lbd = self._compute_lbd(learnt)
+                    self.learnts.append(clause)
+                    stats.learnt_clauses += 1
+                    self._watch(clause)
+                    self._enqueue(learnt[0], clause)
+                self.var_inc /= self.var_decay
+                self.cla_inc /= self.cla_decay
+                if (conflict_limit is not None
+                        and stats.conflicts >= conflict_limit):
+                    return
+                if (stats.conflicts & 255) == 0:
+                    if tick is not None:
+                        tick()
+                    if (time_limit is not None
+                            and time.perf_counter() - start > time_limit):
+                        return
+            else:
+                if conflicts_since_restart >= conflicts_until_restart:
+                    stats.restarts += 1
+                    restart_index += 1
+                    conflicts_until_restart = \
+                        restart_base * luby(restart_index)
+                    conflicts_since_restart = 0
+                    self._cancel_until(0)
+                    continue
+                if len(self.learnts) > max_learnts + len(self.trail):
+                    self._reduce_db()
+                    max_learnts = int(max_learnts * 1.1)
+                # Replay assumptions as decisions at levels 1..k before
+                # any free decision (restarts and backjumps may have
+                # unwound some of them).
+                next_lit = 0
+                failed = 0
+                while len(trail_lim) < len(assumed):
+                    p = assumed[len(trail_lim)]
+                    if value[p] == _TRUE:
+                        # Already implied: dummy level keeps the
+                        # level<->assumption-index correspondence.
+                        trail_lim.append(len(self.trail))
+                    elif value[p] == _FALSE:
+                        failed = p
+                        break
+                    else:
+                        next_lit = p
+                        break
+                if failed:
+                    stats.status = "unsat"
+                    stats.core = self._final_conflict(failed)
+                    return
+                if next_lit == 0:
+                    var = self._pick_branch_var()
+                    if var == 0:
+                        stats.status = "sat"
+                        stats.model = _model(value, self.saved_phase,
+                                             self.nv)
+                        return
+                    stats.decisions += 1
+                    next_lit = 2 * var if self.saved_phase[var] \
+                        else 2 * var + 1
+                trail_lim.append(len(self.trail))
+                self._enqueue(next_lit, None)
+
+    def _search_native(self, stats: SatResult, assumed: List[int],
+                       conflict_limit: Optional[int],
+                       time_limit: Optional[float],
+                       tick: Optional[Callable[[], None]],
+                       start: float) -> None:
+        """The same search in the kernel; Python runs the clock."""
+        ffi, lib, native = self._ffi, self._lib, self._native
+        status = lib.cdcl_start(native, assumed, len(assumed))
+        if status == lib.CDCL_PAUSE and not (
+                time_limit is not None
+                and time.perf_counter() - start > time_limit):
+            # A limit <= 0 stops after the first conflict, as in Python.
+            limit = -1 if conflict_limit is None else max(conflict_limit, 0)
+            while True:
+                status = lib.cdcl_run(native, limit)
+                if status != lib.CDCL_PAUSE:
+                    break
+                if tick is not None:
+                    tick()
+                if (time_limit is not None
+                        and time.perf_counter() - start > time_limit):
+                    break
+        stats.conflicts = native.conflicts
+        stats.decisions = native.decisions
+        stats.propagations = native.propagations
+        stats.restarts = native.restarts
+        stats.learnt_clauses = native.learnt_clauses
+        if status == lib.CDCL_NOMEM:
+            raise MemoryError("native solver out of memory")
+        if status == lib.CDCL_ROOT_UNSAT:
+            self._contradiction = True
+            stats.status = "unsat"
+            stats.core = []
+        elif status == lib.CDCL_UNSAT:
+            stats.status = "unsat"
+            stats.core = [_dimacs(code) for code
+                          in ffi.unpack(native.core, native.n_core)]
+        elif status == lib.CDCL_SAT:
+            stats.status = "sat"
+            stats.model = _model(ffi.unpack(native.value, 2 * self.nv + 2),
+                                 ffi.unpack(native.phase, self.nv + 1),
+                                 self.nv)
+
+
+def _model(value: Sequence[int], phase: Sequence, nv: int) -> Dict[int, bool]:
+    """The model in one pass: assigned values, saved phases elsewhere."""
+    return {v: value[2 * v] == _TRUE if value[2 * v] != _UNDEF
+            else bool(phase[v]) for v in range(1, nv + 1)}
 
 
 def solve_cnf(cnf: Cnf, conflict_limit: Optional[int] = None,

@@ -42,11 +42,14 @@ def lexmin_model(solver: CdclSolver, variables: Sequence[int],
     ``assumptions``.  Returns ``(canonical_model, stats)`` where stats
     counts the extra solver work (``solves`` / ``conflicts`` /
     ``decisions`` / ``propagations``) so engines can report
-    canonicalization separately from the depth decision itself.
+    canonicalization separately from the depth decision itself, and
+    ``complete`` is 1 when the descent finished and 0 when it was cut
+    short.
 
     ``deadline`` is an absolute ``time.perf_counter()`` instant: once it
-    passes, the remaining bits keep their current witness values (the
-    result is then a valid but possibly non-minimal model).
+    passes, the remaining bits keep their current witness values.  The
+    result is then a valid but possibly non-minimal model, so it is not
+    the canonical one (``complete`` is 0) and must not be stored as such.
     """
     best = model
     pinned: List[int] = list(assumptions)
@@ -80,4 +83,5 @@ def lexmin_model(solver: CdclSolver, variables: Sequence[int],
         else:  # budget ran out mid-probe: keep the witness bit
             expired = True
             pinned.append(var)
+    stats["complete"] = 0 if expired else 1
     return best, stats

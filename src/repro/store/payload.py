@@ -220,6 +220,19 @@ def store_lookup(store: SynthesisStore, key: Union[str, OrbitKey],
     return None, {}, start_depth
 
 
+#: Per-depth metrics that are 0 when a lexmin descent hit its deadline.
+_CANONICAL_COMPLETE = ("sat.canonical_complete", "qbf.canonical_complete")
+
+
+def _canonical_witness(result: SynthesisResult) -> bool:
+    """False when the realizing depth's canonicalization was cut short."""
+    for step in result.per_depth:
+        if step.decision == "sat":
+            return all(step.metrics.get(key, 1)
+                       for key in _CANONICAL_COMPLETE)
+    return True
+
+
 def store_commit(store: SynthesisStore, key: Union[str, OrbitKey],
                  result: SynthesisResult, library: GateLibrary,
                  start_depth: int,
@@ -233,6 +246,10 @@ def store_commit(store: SynthesisStore, key: Union[str, OrbitKey],
     entry is what moved the start), so the prefix extends from there.
     Definitive runs (``realized`` / ``gate_limit``) additionally commit
     a result entry; the commit is first-writer-wins under concurrency.
+    A realizing depth whose witness canonicalization was cut short by
+    the deadline (``*.canonical_complete`` 0) commits no entry: its
+    circuit is valid but not the canonical one, and every later hit
+    would replay it.
 
     Orbit-keyed commits carry the committing frame in the entry (the
     witness for exact mode, the literal spec cells for bucket mode) so
@@ -249,7 +266,8 @@ def store_commit(store: SynthesisStore, key: Union[str, OrbitKey],
         unsat_prefix += 1
     if store.bank_bound(key_info.bounds_key, start_depth + unsat_prefix - 1):
         obs.publish({"store.bounds_banked": 1})
-    if result.status in ("realized", "gate_limit"):
+    if (result.status in ("realized", "gate_limit")
+            and _canonical_witness(result)):
         entry = entry_from_result(result, library)
         if key_info.mode != "literal" and spec is not None:
             orbit_meta: Dict = {"mode": key_info.mode,

@@ -209,6 +209,7 @@ class QbfSolverEngine:
                 deadline=deadline, tick=tick)
         metrics["sat.canonical_solves"] = canon["solves"]
         metrics["sat.canonical_conflicts"] = canon["conflicts"]
+        metrics["qbf.canonical_complete"] = canon["complete"]
         return self._realized(model, select_vars, detail, metrics)
 
     def _realized(self, model: Dict[int, bool],
@@ -416,4 +417,5 @@ class _IncrementalExpansionSession:
                 tick=tick)
         metrics["sat.canonical_solves"] = canon["solves"]
         metrics["sat.canonical_conflicts"] = canon["conflicts"]
+        metrics["qbf.canonical_complete"] = canon["complete"]
         return engine._realized(model, select_vars, detail, metrics)

@@ -173,6 +173,7 @@ class SatBaselineEngine:
                 deadline=deadline, tick=tick)
         metrics["sat.canonical_solves"] = canon["solves"]
         metrics["sat.canonical_conflicts"] = canon["conflicts"]
+        metrics["sat.canonical_complete"] = canon["complete"]
         circuit = self._decode(model, select_vars)
         if not self.spec.matches_circuit(circuit):
             raise AssertionError(
@@ -326,6 +327,7 @@ class _IncrementalSatSession:
                 tick=tick)
         metrics["sat.canonical_solves"] = canon["solves"]
         metrics["sat.canonical_conflicts"] = canon["conflicts"]
+        metrics["sat.canonical_complete"] = canon["complete"]
         circuit = engine._decode(model, select_vars)
         if not engine.spec.matches_circuit(circuit):
             raise AssertionError(

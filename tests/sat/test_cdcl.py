@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import repro.sat.cdcl as cdcl
+from repro.bdd.tables import kernel_available
 from repro.sat.cdcl import CdclSolver, luby, solve_cnf
 from repro.sat.cnf import Cnf, evaluate_cnf
 from tests.sat.dpll import dpll_solve
@@ -171,12 +173,15 @@ def bump(solver, var, amount):
 
 
 class TestDecisionHeap:
+    """The pure-Python heap's internals; ``TestNativeSearch`` checks the
+    same behaviour on the kernel."""
+
     def test_heap_holds_each_variable_once_after_solves(self):
-        solver = CdclSolver(pigeonhole(5))
+        solver = CdclSolver(pigeonhole(5), use_kernel=False)
         assert solver.solve().is_unsat
         assert_heap_valid(solver)
         rng = random.Random(7)
-        solver = CdclSolver(Cnf(40))
+        solver = CdclSolver(Cnf(40), use_kernel=False)
         for _ in range(170):
             clause = rng.sample(range(1, 41), 3)
             solver.add_clause([v if rng.random() < 0.5 else -v
@@ -190,11 +195,12 @@ class TestDecisionHeap:
             free = [v for v in range(1, 41) if solver.value[2 * v] == 0]
             assert all(solver._heap_pos[v] >= 0 for v in free)
 
-    def test_engine_session_heap_stays_bounded(self):
+    def test_engine_session_heap_stays_bounded(self, monkeypatch):
         from repro.core.library import GateLibrary
         from repro.functions import get_spec
         from repro.synth.sat_engine import SatBaselineEngine
 
+        monkeypatch.setattr(cdcl, "load_cdcl_kernel", lambda: (None, None))
         spec = get_spec("3_17")
         engine = SatBaselineEngine(spec, GateLibrary.mct(spec.n_lines))
         assert engine.begin_session()
@@ -206,7 +212,7 @@ class TestDecisionHeap:
     def test_pick_order_is_activity_then_index(self, seed):
         rng = random.Random(seed)
         n = 60
-        solver = CdclSolver(Cnf(n))
+        solver = CdclSolver(Cnf(n), use_kernel=False)
         # Few distinct scores, so ties are common.
         for var in rng.sample(range(1, n + 1), n):
             bump(solver, var, rng.choice([0.0, 1.0, 2.0, 2.5, 4.0]))
@@ -219,7 +225,7 @@ class TestDecisionHeap:
     def test_pick_order_under_bumps_and_reinsertion(self, seed):
         rng = random.Random(100 + seed)
         n = 50
-        solver = CdclSolver(Cnf(n))
+        solver = CdclSolver(Cnf(n), use_kernel=False)
         popped = []
         for _ in range(200):
             for var in rng.sample(range(1, n + 1), 5):
@@ -236,7 +242,7 @@ class TestDecisionHeap:
             assert_heap_valid(solver)
 
     def test_rescale_keeps_order(self):
-        solver = CdclSolver(Cnf(6))
+        solver = CdclSolver(Cnf(6), use_kernel=False)
         for var, score in ((2, 1e-250), (5, 7e99), (6, 3e99)):
             bump(solver, var, score)
         # Variable 2 sits above variable 1 (heap index 1 over index 4)
@@ -250,8 +256,107 @@ class TestDecisionHeap:
             [5, 6, 1, 2, 3, 4]
 
     def test_rescale_during_search(self):
-        solver = CdclSolver(pigeonhole(5))
+        solver = CdclSolver(pigeonhole(5), use_kernel=False)
         solver.var_inc = 1e98  # the first bumps cross 1e100
         assert solver.solve().is_unsat
         assert solver.var_inc < 1e98
         assert_heap_valid(solver)
+
+
+def search_figures(result):
+    return (result.status, result.conflicts, result.decisions,
+            result.propagations, result.restarts, result.learnt_clauses,
+            result.model, result.core)
+
+
+def solver_pair(cnf):
+    return (CdclSolver(cnf, use_kernel=True),
+            CdclSolver(cnf, use_kernel=False))
+
+
+@pytest.mark.skipif(not kernel_available(),
+                    reason="native kernel unavailable")
+class TestNativeSearch:
+    """The native search loop makes the pure-Python search exactly."""
+
+    @pytest.mark.parametrize("use_kernel", [True, False])
+    def test_ties_go_to_the_smaller_variable(self, use_kernel):
+        # All activities tie at 0: decisions take x1, x2, ... in order,
+        # each on its saved (negative) phase, until x_n is forced.
+        n = 30
+        cnf = Cnf(n)
+        cnf.add_clause(list(range(1, n + 1)))
+        result = CdclSolver(cnf, use_kernel=use_kernel).solve()
+        assert result.decisions == n - 1
+        assert [v for v in range(1, n + 1) if result.model[v]] == [n]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_incremental_calls_match_python(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(5, 60)
+        clauses = [[rng.choice([1, -1]) * rng.randint(1, n)
+                    for _ in range(rng.randint(1, 4))]
+                   for _ in range(int(rng.uniform(2, 5) * n))]
+        native, pure = solver_pair(Cnf(n))
+        half = len(clauses) // 2
+        for clause in clauses[:half]:
+            assert native.add_clause(clause) == pure.add_clause(clause)
+        for round_ in range(6):
+            assumed = [v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, n + 1),
+                                           min(n, rng.randint(0, 6)))]
+            assert search_figures(native.solve(assumptions=assumed)) \
+                == search_figures(pure.solve(assumptions=assumed))
+            for clause in clauses[half + 3 * round_:half + 3 * round_ + 3]:
+                assert native.add_clause(clause) == pure.add_clause(clause)
+        assert native.num_clauses == pure.num_clauses
+        assert native.num_learnts == pure.num_learnts
+
+    def test_rescale_matches_python(self):
+        native, pure = solver_pair(pigeonhole(5))
+        # The first bumps cross both rescale thresholds.
+        native._native.var_inc = pure.var_inc = 1e98
+        native._native.cla_inc = pure.cla_inc = 1e19
+        assert search_figures(native.solve()) == search_figures(pure.solve())
+        assert native._native.var_inc == pure.var_inc < 1e98
+        assert native._native.cla_inc == pure.cla_inc < 1e19
+
+    def test_learnt_database_reduction_matches_python(self):
+        native, pure = solver_pair(pigeonhole(7))
+        result = native.solve()
+        assert search_figures(result) == search_figures(pure.solve())
+        # More clauses were learnt than survive: the reduction ran.
+        assert native.num_learnts == pure.num_learnts < result.learnt_clauses
+
+    def test_limits_and_ticks_match_python(self):
+        ticks = {True: 0, False: 0}
+
+        def tick_for(use_kernel):
+            def tick():
+                ticks[use_kernel] += 1
+            return tick
+
+        native, pure = solver_pair(pigeonhole(6))
+        assert search_figures(native.solve(conflict_limit=300,
+                                           tick=tick_for(True))) \
+            == search_figures(pure.solve(conflict_limit=300,
+                                         tick=tick_for(False)))
+        assert ticks[True] == ticks[False] == 2  # start, conflict 256
+        assert native.solve(conflict_limit=300).status == "unknown"
+        assert native.solve(time_limit=-1.0).status == "unknown"
+
+    def test_tick_may_abort_and_leaves_solver_usable(self):
+        class Stop(Exception):
+            pass
+
+        calls = []
+
+        def tick():
+            calls.append(1)
+            if len(calls) == 2:
+                raise Stop
+
+        native = CdclSolver(pigeonhole(6), use_kernel=True)
+        with pytest.raises(Stop):
+            native.solve(tick=tick)
+        assert native.solve().is_unsat

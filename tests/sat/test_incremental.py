@@ -7,6 +7,8 @@ addition between calls, retained learnt clauses, and the canonical
 lex-minimal model extraction of :func:`repro.sat.lexmin_model`.
 """
 
+import time
+
 import pytest
 
 from repro.sat import lexmin_model
@@ -168,6 +170,21 @@ class TestLexminModel:
             if expected is None:
                 expected = key
             assert key == expected == (False, False, True)
+
+
+    def test_descent_reports_whether_it_finished(self):
+        cnf = Cnf(2)
+        cnf.add_clause([1, 2])
+        solver = CdclSolver(cnf)
+        witness = solver.solve(assumptions=[2])
+        assert witness.model[2]
+        model, stats = lexmin_model(solver, [2, 1], witness.model)
+        assert stats["complete"] == 1 and not model[2]
+        # A deadline already past keeps the witness's 1-bit.
+        model, stats = lexmin_model(solver, [2, 1], witness.model,
+                                    deadline=time.perf_counter() - 1.0)
+        assert stats["complete"] == 0 and model[2]
+        assert stats["solves"] == 0
 
 
 class TestSolveCnfCompat:

@@ -13,10 +13,15 @@ mod5d1_s and decod24-v3, with and without incremental deepening:
 
 The figures were recorded with the solver as it stood before its
 internals moved to an indexed decision heap and coded literals.  That
-rewrite keeps the search identical decision for decision, so these
-counts must not move: a change to the search shows up here as a failing
-count, not as a silent drift.  Regenerate the file only for a deliberate
-change of the search::
+rewrite keeps the search identical decision for decision, and so does
+the native search loop (``repro.sat.kernel``), so these counts must not
+move: a change to the search shows up here as a failing count, not as a
+silent drift.
+
+The pins gate both solvers.  Each case runs once on the native kernel
+(the solver the engines use; skipped when the kernel is unavailable)
+and once on the pure-Python loops (ids ending in ``/python``).
+Regenerate the file only for a deliberate change of the search::
 
     PYTHONPATH=src python -m tests.sat.test_search_pins \\
         > tests/sat/search_pins.json
@@ -33,6 +38,8 @@ import pytest
 
 from repro import synthesize
 from repro.functions import get_spec
+import repro.sat.cdcl as cdcl
+from repro.bdd.tables import kernel_available
 from repro.sat.cdcl import CdclSolver
 
 PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -49,6 +56,14 @@ def case_id(name: str, engine: str, incremental: bool) -> str:
 
 CASES = [(name, engine, incremental) for name in BENCHMARKS
          for engine in ENGINES for incremental in (True, False)]
+SOLVER_CASES = [case + (solver,) for case in CASES
+                for solver in ("kernel", "python")]
+
+
+def solver_case_id(name: str, engine: str, incremental: bool,
+                   solver: str) -> str:
+    suffix = "/python" if solver == "python" else ""
+    return case_id(name, engine, incremental) + suffix
 
 
 def record(name: str, engine: str, incremental: bool) -> Dict:
@@ -83,9 +98,17 @@ def pins() -> Dict:
         return json.load(handle)
 
 
-@pytest.mark.parametrize("name,engine,incremental", CASES,
-                         ids=[case_id(*case) for case in CASES])
-def test_search_matches_pins(pins, name, engine, incremental):
+@pytest.mark.parametrize("name,engine,incremental,solver", SOLVER_CASES,
+                         ids=[solver_case_id(*case) for case in SOLVER_CASES])
+def test_search_matches_pins(pins, monkeypatch, name, engine, incremental,
+                             solver):
+    if solver == "python":
+        monkeypatch.setattr(cdcl, "load_cdcl_kernel", lambda: (None, None))
+        assert CdclSolver()._native is None
+    elif not kernel_available():
+        pytest.skip("native kernel unavailable")
+    else:
+        assert CdclSolver()._native is not None
     # JSON round trip: tuples and lists compare alike.
     got = json.loads(json.dumps(record(name, engine, incremental)))
     want = pins[case_id(name, engine, incremental)]

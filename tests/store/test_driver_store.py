@@ -317,3 +317,38 @@ def test_suite_second_run_is_all_hits(tmp_path):
     for a, b in zip(first.reports, second.reports):
         assert obs.canonical_record(a.record) == obs.canonical_record(b.record)
         assert b.record["store_hit"] is True
+
+
+@pytest.mark.parametrize("engine", ["sat", "qbf"])
+def test_cut_short_canonicalization_commits_no_entry(tmp_path, monkeypatch,
+                                                     engine):
+    """A witness the deadline left non-canonical is reported and not
+    stored; the UNSAT prefix is still banked."""
+    import time
+
+    import repro.synth.qbf_engine as qbf_engine
+    import repro.synth.sat_engine as sat_engine
+
+    root = str(tmp_path / "store")
+    spec = get_spec("3_17")
+    untimed = synthesize(spec, engine=engine)
+    module = sat_engine if engine == "sat" else qbf_engine
+    original = module.lexmin_model
+
+    def expired(*args, **kwargs):
+        kwargs["deadline"] = time.perf_counter()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "lexmin_model", expired)
+    cut = synthesize(spec, engine=engine, store=root)
+    assert cut.status == "realized" and cut.depth == untimed.depth
+    assert cut.per_depth[-1].metrics[f"{engine}.canonical_complete"] == 0
+    assert [c.gates for c in cut.circuits] \
+        != [c.gates for c in untimed.circuits]
+    monkeypatch.setattr(module, "lexmin_model", original)
+    again = synthesize(spec, engine=engine, store=root)
+    assert not again.store_hit
+    assert again.per_depth[0].depth == untimed.depth  # the bound resumed
+    assert again.per_depth[-1].metrics[f"{engine}.canonical_complete"] == 1
+    assert [c.gates for c in again.circuits] \
+        == [c.gates for c in untimed.circuits]
