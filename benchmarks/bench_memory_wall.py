@@ -11,27 +11,16 @@ never shrink, and only a collection shrinks the unique table); it is
 sampled there (``_tables.record_store_peaks``).  The depth reached
 within the budget is the figure of merit.
 
-Two contenders, one budget (4 MiB):
-
-* ``v3``      — the packed-table core, default options.
-* ``v3+gc``   — packed tables with checkpoint GC
-                (``gc_threshold=20000``), which also reclaims dead
-                frontier nodes between the cascade stages of a depth.
-                The between-depth reclaim keeps the live count at the
-                stage checkpoints low, so the threshold sits where the
-                checkpoint sweep still runs from depth 7 on (at 50000
-                it never ran in this tier).
+One contender, one budget (4 MiB): ``v3``, the packed-table core.
 
 The frozen v2 dict-table core, raced here until it was retired,
 reached depth 4 in the same budget, measured on its store after each
 depth with no reclaim at all (``FROZEN_V2_DEPTH``; EXPERIMENTS.md).
 
-Hard assertions, not reports: every depth any contender decides must
+Hard assertions, not reports: every depth the contender decides must
 be UNSAT (4_49 needs more depth than this tier allows — a contender
-"winning" by misjudging a depth would be caught), v3 must reach
-*strictly* more depths than the frozen v2 figure, the ``v3+gc``
-contender must actually collect at a checkpoint, and checkpoint GC
-must never reach fewer depths than plain v3.
+"winning" by misjudging a depth would be caught), and v3 must reach
+*strictly* more depths than the frozen v2 figure.
 
 The whole tier runs in a few seconds; the full instance stays out of
 CI by construction.
@@ -67,7 +56,6 @@ FROZEN_V2_DEPTH = 4
 
 CONTENDERS = {
     "v3": {},
-    "v3+gc": {"gc_threshold": 20000},
 }
 
 _results = {}
@@ -77,7 +65,7 @@ def _deepen_within_budget(options):
     """Deepen until a depth's peak store exceeds the budget.
 
     Returns ``(deepest_depth_within_budget, statuses, peak_bytes_per_depth,
-    checkpoint_gc_runs, elapsed_s)``.
+    elapsed_s)``.
     """
     spec = get_spec(INSTANCE)
     engine = BddSynthesisEngine(spec, GateLibrary.mct(spec.n_lines),
@@ -87,12 +75,10 @@ def _deepen_within_budget(options):
     reached = -1
     statuses = []
     peaks = []
-    gc_runs = 0
     for depth in range(MAX_DEPTH + 1):
         del samples[:]
         outcome = engine.decide(depth, time_limit=PER_DEPTH_TIME_LIMIT)
         statuses.append(outcome.status)
-        gc_runs += outcome.metrics["bdd.gc_runs"]
         assert outcome.status == "unsat", (
             f"{options}: 4_49 depth {depth} decided "
             f"{outcome.status}, expected unsat")
@@ -101,29 +87,22 @@ def _deepen_within_budget(options):
         if peak > BUDGET_BYTES:
             break
         reached = depth
-    return reached, statuses, peaks, gc_runs, time.perf_counter() - start
+    return reached, statuses, peaks, time.perf_counter() - start
 
 
 def test_memory_wall_tier():
     for name, options in CONTENDERS.items():
-        reached, statuses, peaks, gc_runs, elapsed = \
-            _deepen_within_budget(options)
+        reached, statuses, peaks, elapsed = _deepen_within_budget(options)
         _results[name] = {
             "deepest_within_budget": reached,
             "statuses": statuses,
             "peak_store_bytes_per_depth": peaks,
-            "checkpoint_gc_runs": gc_runs,
             "wall_s": elapsed,
         }
-    v3, v3gc = (_results[n]["deepest_within_budget"]
-                for n in ("v3", "v3+gc"))
+    v3 = _results["v3"]["deepest_within_budget"]
     assert v3 > FROZEN_V2_DEPTH, (
         f"packed tables must break the wall: v3 reached {v3}, "
         f"frozen v2 {FROZEN_V2_DEPTH}")
-    assert _results["v3+gc"]["checkpoint_gc_runs"] > 0, (
-        "the v3+gc contender never collected at a checkpoint")
-    assert v3gc >= v3, (
-        f"checkpoint GC must never lose depths: {v3gc} < {v3}")
 
 
 def _export():

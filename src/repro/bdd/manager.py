@@ -31,23 +31,18 @@ place on invalidation.
 **Iterative apply loops.**  ``and_``/``xor``/``ite``/``_quantify``
 run on explicit stacks instead of Python recursion:
 no per-node call overhead, no manager-scoped ``setrecursionlimit``
-bumping.  Pending frames keep the raw operand edges of every
-outstanding cache store on the stack so the garbage collector (below)
-can treat in-flight operations as roots.
+bumping.
 
 **Mark-and-sweep GC and an external-reference protocol.**  Callers
 ``protect``/``unprotect`` (or use the :meth:`protected` scope) the
 edges they hold across operations; :meth:`gc` marks from those
-references, explicit extra roots and the conservative scan of active
-operation stacks, then threads dead nodes onto a free list, rebuilds
-the unique table and invalidates the computed caches.  Edges survive
-a :meth:`gc` unchanged — no re-rooting — so it is the one reclaim path:
-the synthesis engine calls it between depths and, with a threshold,
-between cascade stages.
-Auto-GC (``enable_auto_gc``) triggers from the allocator under a node
-threshold; it is off by default because callers must hold only
-protected (or argument/stack-reachable) edges across allocating calls
-while it is on.
+references and explicit extra roots, then threads dead nodes onto a
+free list, rebuilds the unique table and invalidates the computed
+caches.  Edges survive a :meth:`gc` unchanged — no re-rooting — so it
+is the one reclaim path.  It runs only when called, between
+operations, never from inside one: the synthesis engine calls it
+between depths, and :meth:`maybe_gc` offers it between the gates of a
+symbolic simulation.
 
 **Native kernel.**  The flat tables are plain C-layout buffers, and
 ``repro.bdd.tables`` compiles (via cffi + the system C compiler, when
@@ -55,20 +50,18 @@ present) a small kernel that runs the AND/XOR/ITE recursions directly
 over them — same tables, same hash functions, same normalization, so
 Python and C interoperate entry-for-entry.  The kernel allocates only
 from a pre-extended free list and pauses cooperatively (budget
-exhausted, free list empty, table at load limit) so growth, GC and the
+exhausted, free list empty, table at load limit) so growth and the
 allocation tick stay under Python control.  The upkeep those pauses
-trigger (table doubling and rebuild, free-list threading, the GC mark
-and sweep) also runs as kernel loops, called from the same Python
+trigger (table doubling and rebuild, free-list threading) and the GC
+mark and sweep also run as kernel loops, called from the same Python
 methods that decide when to run them.  Without a compiler the
 pure-Python loops below carry identical semantics.
 
-**Levels vs variable ids.**  v2 equated a variable's id with its order
-position.  Sifting-based reordering (``repro.bdd.reorder``) permutes
-levels at runtime, so v3 separates them: ``_var`` stores levels, and
-``_level_of_var``/``_var_at_level`` translate at the public API
-boundary (``top_var``, ``support``, ``evaluate``, model iteration,
-...).  Public semantics are unchanged — variables are still identified
-by their creation index.
+**One fixed order.**  A variable's level is its id: variables are
+ordered by creation, topmost first, and the order never changes.  The
+synthesis engine creates the inputs X before the select variables Y,
+the order Section 5.2 fixes.  ``_var`` therefore holds variable ids,
+and the public API needs no translation.
 """
 
 from __future__ import annotations
@@ -111,6 +104,9 @@ _GEN_MASK = 0xFFFF
 _MIN_UTAB = 1 << 12
 _MAX_CACHE = 1 << 20
 
+#: Live-node count at which :meth:`BddManager.maybe_gc` collects.
+GC_THRESHOLD = 1 << 18
+
 
 class BddManager:
     """Shared ROBDD store with flat unique/computed tables and GC."""
@@ -118,7 +114,8 @@ class BddManager:
     def __init__(self, num_vars: int = 0, var_names: Optional[Sequence[str]] = None,
                  use_kernel: Optional[bool] = None):
         # Node columns indexed by node index (edge >> 1); index 0 is the
-        # terminal.  _var holds the LEVEL (-1 terminal, -2 free node).
+        # terminal.  _var holds the variable, which is also its level
+        # (-1 terminal, -2 free node).
         self._var = array("i", (-1,))
         self._lo = array("q", (FALSE,))
         self._hi = array("q", (FALSE,))
@@ -143,17 +140,11 @@ class BddManager:
         # replaced or the generation changes; in-flight loops compare it
         # to refresh their local bindings.
         self._tver = 0
-        # Variable order.  Levels are order positions (0 topmost); ids
-        # are creation indices.  Identity permutation until reordering.
+        # Variables, in order: a variable's level is its creation index.
         self._names: List[str] = []
-        self._level_of_var = array("i")
-        self._var_at_level = array("i")
         self.num_vars = 0
-        # External references (edge -> refcount) and GC state.
+        # External references (edge -> refcount): the GC roots.
         self._refs: Dict[int, int] = {}
-        self._gc_enabled = False
-        self._gc_threshold = 1 << 18
-        self._active_stacks: List[list] = []
         # Optional node-allocation tick: callers (the synthesis engines'
         # deadline guard) register a callback fired every ``interval``
         # fresh node allocations.
@@ -171,14 +162,6 @@ class BddManager:
         self.gc_runs = 0
         self.gc_reclaimed = 0
         self.table_grows = 0
-        self.reorder_runs = 0
-        self.reorder_swaps = 0
-        # Auto-reorder trigger state (see enable_auto_reorder).
-        self._reorder_enabled = False
-        self._reorder_bounds: Tuple[int, Optional[int]] = (0, None)
-        self._reorder_ratio = 4
-        self._reorder_min = 1 << 13
-        self._reorder_next = 1 << 13
         # Native kernel (see tables.py).  ``use_kernel=None`` attaches
         # it when available; False forces the pure-Python loops (the
         # reference semantics either way).  Buffer views into the flat
@@ -207,9 +190,14 @@ class BddManager:
         index = self.num_vars
         self.num_vars += 1
         self._names.append(name if name is not None else f"v{index}")
-        self._level_of_var.append(index)
-        self._var_at_level.append(index)
         return index
+
+    def _check_vars(self, variables: Iterable[int]) -> None:
+        """Reject ids of variables that do not exist (a node's level is
+        its variable id, so a bad id would build a malformed node)."""
+        for v in variables:
+            if not 0 <= v < self.num_vars:
+                raise ValueError(f"unknown variable {v}")
 
     def var_name(self, index: int) -> str:
         return self._names[index]
@@ -218,13 +206,13 @@ class BddManager:
         """The BDD of the single variable ``index``."""
         if not 0 <= index < self.num_vars:
             raise ValueError(f"unknown variable {index}")
-        return self._mk_level(self._level_of_var[index], FALSE, TRUE)
+        return self._mk_level(index, FALSE, TRUE)
 
     def nvar(self, index: int) -> int:
         """The BDD of the negated variable."""
         if not 0 <= index < self.num_vars:
             raise ValueError(f"unknown variable {index}")
-        return self._mk_level(self._level_of_var[index], TRUE, FALSE)
+        return self._mk_level(index, TRUE, FALSE)
 
     def literal(self, index: int, positive: bool) -> int:
         return self.var(index) if positive else self.nvar(index)
@@ -246,7 +234,7 @@ class BddManager:
         """Variable id of the node's top variable (terminals raise)."""
         if node <= 1:
             raise ValueError("terminals have no variable")
-        return self._var_at_level[self._var[node >> 1]]
+        return self._var[node >> 1]
 
     def low(self, node: int) -> int:
         """Low cofactor edge, with the incoming complement bit applied."""
@@ -256,18 +244,10 @@ class BddManager:
         """High cofactor edge, with the incoming complement bit applied."""
         return self._hi[node >> 1] ^ (node & 1)
 
-    def _level(self, node: int) -> int:
-        """Level used for ordering; terminals sink below every variable."""
-        return self._var[node >> 1] if node > 1 else self.num_vars
-
     # -- allocator / tables ----------------------------------------------------------
 
-    def _mk(self, var: int, lo: int, hi: int) -> int:
-        """Hash-consed edge constructor taking a *variable id*."""
-        return self._mk_level(self._level_of_var[var], lo, hi)
-
     def _mk_level(self, level: int, lo: int, hi: int) -> int:
-        """Hash-consed edge constructor taking a *level*.
+        """Hash-consed edge constructor for the variable at ``level``.
 
         Enforces both ROBDD reduction rules plus the complement-edge
         normalization: the stored high edge is always regular — when it
@@ -298,17 +278,10 @@ class BddManager:
     def _fresh(self, level: int, lo: int, hi: int, slot: int) -> int:
         """Allocate a node at ``slot`` of the unique table (a miss).
 
-        May run auto-GC first (which rebuilds the table — the slot is
-        re-probed); may grow the table after; fires the allocation tick
-        last, once the node is fully consistent (the tick may raise).
+        Never collects.  May grow the table after the insert; fires the
+        allocation tick last, once the node is fully consistent (the
+        tick may raise).
         """
-        if self._gc_enabled and self._live >= self._gc_threshold:
-            self.gc((lo, hi))
-            utab = self._utab
-            umask = self._umask
-            slot = (lo * _UH1 + hi * _UH2 + level) & umask
-            while utab[slot]:
-                slot = (slot + 1) & umask
         node = self._free
         if not node and self._klib is not None:
             # The kernel path keeps cached (resize-locking) buffer
@@ -377,7 +350,7 @@ class BddManager:
         self._maybe_grow_cache()
 
     def _rebuild_utab(self) -> None:
-        """Rebuild the unique table from the live columns (after GC/reorder)."""
+        """Rebuild the unique table from the live columns (after GC)."""
         size = _MIN_UTAB
         need = self._live << 1
         while size < need:
@@ -404,51 +377,6 @@ class BddManager:
         self._ucount = self._live - 1
         self._tver += 1
         self._maybe_grow_cache()
-
-    def _utab_delete(self, n: int) -> None:
-        """Remove node ``n`` from the unique table.
-
-        Linear probing needs backward-shift deletion: after emptying the
-        slot, every entry in the rest of the probe cluster that cannot
-        reach its home slot past the hole is shifted back into it, so no
-        probe sequence is ever broken.  Only the reordering layer
-        deletes — nodes are mutated exclusively while out of the table,
-        which keeps the home-slot computation below valid for every
-        entry still in it.
-        """
-        utab = self._utab
-        umask = self._umask
-        _var = self._var
-        _lo = self._lo
-        _hi = self._hi
-        slot = (_lo[n] * _UH1 + _hi[n] * _UH2 + _var[n]) & umask
-        while utab[slot] != n:
-            slot = (slot + 1) & umask
-        utab[slot] = 0
-        self._ucount -= 1
-        hole = slot
-        j = slot
-        while True:
-            j = (j + 1) & umask
-            m = utab[j]
-            if not m:
-                break
-            home = (_lo[m] * _UH1 + _hi[m] * _UH2 + _var[m]) & umask
-            if ((j - home) & umask) >= ((j - hole) & umask):
-                utab[hole] = m
-                utab[j] = 0
-                hole = j
-
-    def _utab_insert(self, n: int) -> None:
-        """Re-insert an existing node after reordering mutated it."""
-        utab = self._utab
-        umask = self._umask
-        slot = (self._lo[n] * _UH1 + self._hi[n] * _UH2 +
-                self._var[n]) & umask
-        while utab[slot]:
-            slot = (slot + 1) & umask
-        utab[slot] = n
-        self._ucount += 1
 
     def _maybe_grow_cache(self) -> None:
         """Size the computed cache at half the unique table, capped."""
@@ -525,14 +453,11 @@ class BddManager:
     # sorted keys, complements factored out) and the general ite.
     # or/implies/xnor/not_ are O(1) rewrites into those three.
     #
-    # Frame protocol (one list ``st`` of ints, one value list ``out``,
-    # both registered in _active_stacks so GC can mark in-flight
-    # operands): a popped value >= 0 is a task operand; negative values
-    # are reduce tags whose frames carry the raw operand edges of the
-    # pending cache store — both lists double as GC root sets, which is
-    # what makes mid-operation collection safe.  Locals binding the
-    # flat tables are refreshed whenever _tver changes (GC, growth or a
-    # generation bump replaced them).
+    # Frame protocol (one list ``st`` of ints, one value list ``out``):
+    # a popped value >= 0 is a task operand; negative values are reduce
+    # tags whose frames carry the raw operand edges of the pending cache
+    # store.  Locals binding the flat tables are refreshed whenever
+    # _tver changes (table growth or a generation bump replaced them).
 
     def and_(self, f: int, g: int) -> int:
         if self._klib is not None:
@@ -601,19 +526,17 @@ class BddManager:
         """Run one kernel apply call, servicing cooperative pauses.
 
         The kernel returns -1 when it needs Python: the allocation
-        budget ran out (deadline tick due, or the auto-GC threshold
-        crossed), the free list emptied, or the unique table hit its
-        load limit.  Each pause is serviced with the tables in a
-        consistent state and the call re-issued; everything the
-        interrupted run computed is already in the computed cache, so
-        the replay skips straight back to where it paused.
+        budget ran out (deadline tick due), the free list emptied, or
+        the unique table hit its load limit.  Each pause is serviced
+        with the tables in a consistent state and the call re-issued;
+        everything the interrupted run computed is already in the
+        computed cache, so the replay skips straight back to where it
+        paused.
         """
         ctx = self._kctx
         while True:
             if (self._ucount << 1) > self._umask:
                 self._grow_utab()
-            if self._gc_enabled and self._live >= self._gc_threshold:
-                self.gc(args)
             if self._free == 0:
                 self._extend_free()
             if self._kbufs is None or self._kbufs_tver != self._tver:
@@ -621,10 +544,6 @@ class BddManager:
             budget = 1 << 60
             if self._alloc_tick is not None:
                 budget = self._tick_countdown
-            if self._gc_enabled:
-                head = self._gc_threshold - self._live
-                if head < budget:
-                    budget = head
             ctx.freehead = self._free
             ctx.live = self._live
             ctx.ucount = self._ucount
@@ -651,9 +570,6 @@ class BddManager:
     def _and_py(self, f: int, g: int) -> int:
         st = [g, f]
         out: List[int] = []
-        stacks = self._active_stacks
-        stacks.append(st)
-        stacks.append(out)
         hits = 0
         misses = 0
         try:
@@ -738,12 +654,7 @@ class BddManager:
                         while True:
                             n = utab[uslot]
                             if n == 0:
-                                # Pin the cache-store operands across a
-                                # possible GC inside _fresh.
-                                st.append(g)
-                                st.append(f)
                                 n = self._fresh(level, rlo, rhi, uslot)
-                                del st[-2:]
                                 if tver != self._tver:
                                     utab = self._utab
                                     umask = self._umask
@@ -769,17 +680,12 @@ class BddManager:
                     misses += 1
             return out[0]
         finally:
-            stacks.pop()
-            stacks.pop()
             self.ite_cache_hits += hits
             self._cmisses += misses
 
     def _xor_py(self, f: int, g: int) -> int:
         st = [g, f]
         out: List[int] = []
-        stacks = self._active_stacks
-        stacks.append(st)
-        stacks.append(out)
         hits = 0
         misses = 0
         try:
@@ -863,10 +769,7 @@ class BddManager:
                         while True:
                             n = utab[uslot]
                             if n == 0:
-                                st.append(g)
-                                st.append(f)
                                 n = self._fresh(level, rlo, rhi, uslot)
-                                del st[-2:]
                                 if tver != self._tver:
                                     utab = self._utab
                                     umask = self._umask
@@ -892,17 +795,12 @@ class BddManager:
                     out.append(res ^ comp)
             return out[0]
         finally:
-            stacks.pop()
-            stacks.pop()
             self.ite_cache_hits += hits
             self._cmisses += misses
 
     def _ite_py(self, f: int, g: int, h: int) -> int:
         st: List[int] = [h, g, f]
         out: List[int] = []
-        stacks = self._active_stacks
-        stacks.append(st)
-        stacks.append(out)
         hits = 0
         misses = 0
         try:
@@ -952,9 +850,8 @@ class BddManager:
                         continue
                     # Route constant-branch shapes into the tagged
                     # binary ops, where argument normalization buys
-                    # more cache sharing.  The nested calls run their
-                    # own stacks (ours stays registered for GC) and may
-                    # replace the flat tables — refresh afterwards.
+                    # more cache sharing.  The nested calls may replace
+                    # the flat tables — refresh afterwards.
                     r = -1
                     if g == TRUE:
                         if h == FALSE:
@@ -1055,11 +952,7 @@ class BddManager:
                         while True:
                             n = utab[uslot]
                             if n == 0:
-                                st.append(h)
-                                st.append(g)
-                                st.append(f)
                                 n = self._fresh(level, rlo, rhi, uslot)
-                                del st[-3:]
                                 if tver != self._tver:
                                     utab = self._utab
                                     umask = self._umask
@@ -1087,16 +980,8 @@ class BddManager:
                     out.append(res ^ comp)
             return out[0]
         finally:
-            stacks.pop()
-            stacks.pop()
             self.ite_cache_hits += hits
             self._cmisses += misses
-
-    def _cofactors(self, node: int, level: int) -> Tuple[int, int]:
-        if node > 1 and self._var[node >> 1] == level:
-            comp = node & 1
-            return self._lo[node >> 1] ^ comp, self._hi[node >> 1] ^ comp
-        return node, node
 
     # -- connectives ------------------------------------------------------------------
 
@@ -1136,15 +1021,9 @@ class BddManager:
         """Cofactor of ``f`` with variable ``var`` fixed to ``value``.
 
         Recursion depth is bounded by the variable count, so this stays
-        a plain recursion; auto-GC is paused for its duration because
-        the recursion frames hold unprotected intermediate edges.
+        a plain recursion.
         """
-        prev = self._gc_enabled
-        self._gc_enabled = False
-        try:
-            return self._restrict_rec(f, self._level_of_var[var], value)
-        finally:
-            self._gc_enabled = prev
+        return self._restrict_rec(f, var, value)
 
     def _restrict_rec(self, f: int, rlevel: int, value: bool) -> int:
         if f <= 1:
@@ -1176,12 +1055,12 @@ class BddManager:
 
     # -- quantification --------------------------------------------------------------------
 
-    def _var_mask(self, variables: Iterable[int]) -> int:
-        """Level bitmask of a variable-id set."""
-        level_of = self._level_of_var
+    @staticmethod
+    def _var_mask(variables: Iterable[int]) -> int:
+        """Level bitmask of a variable set."""
         mask = 0
         for v in variables:
-            mask |= 1 << level_of[v]
+            mask |= 1 << v
         return mask
 
     def exists(self, f: int, variables: Iterable[int]) -> int:
@@ -1202,14 +1081,10 @@ class BddManager:
         complement (bit 0) and the forall flag (bit 1); a complemented
         operand routes through De Morgan duality (``forall x ¬f =
         ¬exists x f``) by flipping both bits, so the dict cache holds
-        regular edges only.  Frames carry the raw operand edge so GC
-        marking keeps pending cache-store keys alive.
+        regular edges only.
         """
         st: list = [mask, 2 if forall else 0, f]
         out: List[int] = []
-        stacks = self._active_stacks
-        stacks.append(st)
-        stacks.append(out)
         qcalls = 0
         qhits = 0
         try:
@@ -1272,7 +1147,6 @@ class BddManager:
                             qcache[key] = rlo
                             out.append(rlo ^ (ac & 1))
                         else:
-                            st.append(f)
                             st.append(rlo)
                             st.append(ac)
                             st.append(key)
@@ -1294,17 +1168,11 @@ class BddManager:
                     key = st.pop()
                     ac = st.pop()
                     rlo = st.pop()
-                    f = st.pop()
                     rhi = out.pop()
-                    # Pin f across the nested apply (the cache key
-                    # references it; rlo/rhi are protected as nested
-                    # arguments).
-                    st.append(f)
                     if ac & 2:
                         res = self.and_(rlo, rhi)
                     else:
                         res = self.and_(rlo ^ 1, rhi ^ 1) ^ 1
-                    st.pop()
                     qcache[key] = res
                     out.append(res ^ (ac & 1))
                 else:
@@ -1314,17 +1182,11 @@ class BddManager:
                     rlo = st.pop()
                     f = st.pop()
                     rhi = out.pop()
-                    st.append(f)
-                    st.append(rlo)
-                    st.append(rhi)
                     res = self._mk_level(var[f >> 1], rlo, rhi)
-                    del st[-3:]
                     qcache[key] = res
                     out.append(res ^ (ac & 1))
             return out[0]
         finally:
-            stacks.pop()
-            stacks.pop()
             self.quant_calls += qcalls
             self.quant_cache_hits += qhits
 
@@ -1346,12 +1208,12 @@ class BddManager:
         either reaching FALSE ends the fold.  Each folded row counts as
         one ``quant_calls``.
 
-        Requires every ``on``/``dc`` BDD to depend only on levels ``<
-        num_inputs`` and the inputs to occupy the top ``num_inputs``
-        levels of the order (true by construction for spec BDDs built
-        over the X block, and preserved by block-constrained sifting);
-        where they do not, conjoin the comparators with :meth:`conj`
-        and quantify with :meth:`forall` instead.
+        Requires the inputs to be variables ``0 .. num_inputs - 1``, the
+        top of the order, and every ``on``/``dc`` BDD to depend on them
+        only.  The synthesis engine creates the X block first, so its
+        spec BDDs satisfy both; where they do not hold, conjoin the
+        comparators with :meth:`conj` and quantify with :meth:`forall`
+        instead.
         """
         var = self._var
         lo = self._lo
@@ -1367,11 +1229,6 @@ class BddManager:
                 e = (hi[i] if (r >> k) & 1 else lo[i]) ^ (e & 1)
             return e
 
-        # The arguments and the accumulator stay visible to the GC scan
-        # while the nested applies run; pins[-1] tracks the accumulator.
-        pins = [*outputs, *on_bdds, *dc_bdds, TRUE]
-        stacks = self._active_stacks
-        stacks.append(pins)
         rows = 0
         try:
             acc = TRUE
@@ -1388,10 +1245,8 @@ class BddManager:
                 acc = self.and_(acc, row)
                 if acc == FALSE:
                     return FALSE
-                pins[-1] = acc
             return acc
         finally:
-            stacks.pop()
             self.quant_calls += rows
 
     # -- evaluation / models -----------------------------------------------------------------
@@ -1401,7 +1256,7 @@ class BddManager:
         node = f
         while node > 1:
             index = node >> 1
-            var = self._var_at_level[self._var[index]]
+            var = self._var[index]
             if var not in assignment:
                 raise ValueError(f"assignment misses variable {var}")
             child = self._hi[index] if assignment[var] else self._lo[index]
@@ -1418,7 +1273,7 @@ class BddManager:
             if not index or index in seen:
                 continue
             seen.add(index)
-            result.add(self._var_at_level[self._var[index]])
+            result.add(self._var[index])
             stack.append(self._lo[index] >> 1)
             stack.append(self._hi[index] >> 1)
         return result
@@ -1428,17 +1283,13 @@ class BddManager:
 
         ``variables`` must be a superset of ``support(f)``; variables
         outside the support double the count.  This computes the paper's
-        ``#SOL`` column (models over all gate-select inputs).  Counting
-        walks the diagram in *level* order (the count is independent of
-        enumeration order), so it stays correct under any reordering.
+        ``#SOL`` column (models over all gate-select inputs).
         """
         var_list = sorted(set(variables))
         missing = self.support(f) - set(var_list)
         if missing:
             raise ValueError(f"variables {sorted(missing)} in support but not counted")
-        level_of_var = self._level_of_var
-        by_level = sorted(var_list, key=lambda v: level_of_var[v])
-        position = {level_of_var[v]: i for i, v in enumerate(by_level)}
+        position = {v: i for i, v in enumerate(var_list)}
         total = len(var_list)
 
         # Memoized per *edge*: a node and its complement count
@@ -1473,21 +1324,12 @@ class BddManager:
 
         Path don't-cares are expanded, so the number of yielded models
         equals :meth:`count_models`.  Models come out in lexicographic
-        order of the variable list — which requires the diagram's level
-        order to agree with the sorted-id order on these variables
-        (callers that reorder restore the block first; see
-        ``reorder.restore_block_order``).
+        order of the sorted variable list, which is the diagram's order.
         """
         var_list = sorted(set(variables))
         missing = self.support(f) - set(var_list)
         if missing:
             raise ValueError(f"variables {sorted(missing)} in support but not enumerated")
-        level_of_var = self._level_of_var
-        levels = [level_of_var[v] for v in var_list]
-        if any(levels[i] >= levels[i + 1] for i in range(len(levels) - 1)):
-            raise ValueError(
-                "diagram level order disagrees with the enumeration order; "
-                "restore the block order before iterating models")
 
         def rec(node: int, depth: int, partial: Dict[int, bool]) -> Iterator[Dict[int, bool]]:
             if node == FALSE:
@@ -1496,7 +1338,7 @@ class BddManager:
                 yield dict(partial)
                 return
             var = var_list[depth]
-            if node > 1 and self._var[node >> 1] == level_of_var[var]:
+            if node > 1 and self._var[node >> 1] == var:
                 comp = node & 1
                 branches = ((False, self._lo[node >> 1] ^ comp),
                             (True, self._hi[node >> 1] ^ comp))
@@ -1518,7 +1360,7 @@ class BddManager:
         while node > 1:
             index = node >> 1
             comp = node & 1
-            var = self._var_at_level[self._var[index]]
+            var = self._var[index]
             lo = self._lo[index] ^ comp
             if lo != FALSE:
                 assignment[var] = False
@@ -1534,8 +1376,8 @@ class BddManager:
         """The function that is 1 exactly on the given packed minterms.
 
         Bit ``j`` of a minterm corresponds to ``variables[j]``.  Built
-        bottom-up over the current level order for linear-time
-        construction per minterm set.
+        bottom-up over the variable order for linear-time construction
+        per minterm set.
         """
         var_list = list(variables)
         minterm_set = set(minterms)
@@ -1543,12 +1385,9 @@ class BddManager:
             return FALSE
         if any(not 0 <= m < (1 << len(var_list)) for m in minterm_set):
             raise ValueError("minterm out of range")
-        # Positions of the variables in the current order, topmost first.
-        level_of_var = self._level_of_var
-        order = sorted(range(len(var_list)),
-                       key=lambda j: level_of_var[var_list[j]])
-        prev = self._gc_enabled
-        self._gc_enabled = False
+        self._check_vars(var_list)
+        # Positions of the variables in the order, topmost first.
+        order = sorted(range(len(var_list)), key=lambda j: var_list[j])
 
         def rec(depth: int, terms: frozenset) -> int:
             if not terms:
@@ -1558,22 +1397,18 @@ class BddManager:
             j = order[depth]
             lo_terms = frozenset(t for t in terms if not (t >> j) & 1)
             hi_terms = frozenset(t for t in terms if (t >> j) & 1)
-            return self._mk_level(level_of_var[var_list[j]],
+            return self._mk_level(var_list[j],
                                   rec(depth + 1, lo_terms),
                                   rec(depth + 1, hi_terms))
 
-        try:
-            return rec(0, frozenset(minterm_set))
-        finally:
-            self._gc_enabled = prev
+        return rec(0, frozenset(minterm_set))
 
     def minterm(self, assignment: Dict[int, bool]) -> int:
         """Conjunction of literals given by a variable assignment."""
-        level_of_var = self._level_of_var
+        self._check_vars(assignment)
         result = TRUE
-        for var in sorted(assignment, key=lambda v: level_of_var[v],
-                          reverse=True):
-            result = self._mk_level(level_of_var[var],
+        for var in sorted(assignment, reverse=True):
+            result = self._mk_level(var,
                                     FALSE if assignment[var] else result,
                                     result if assignment[var] else FALSE)
         return result
@@ -1608,69 +1443,24 @@ class BddManager:
             for edge in edges:
                 self.unprotect(edge)
 
-    def enable_auto_gc(self, threshold: Optional[int] = None,
-                       enabled: bool = True) -> None:
-        """Let the allocator trigger :meth:`gc` at ``threshold`` live nodes.
-
-        While enabled, callers must hold only protected edges (or
-        arguments of the running operation) across allocating calls.
-        """
-        if threshold is not None:
-            if threshold < 2:
-                raise ValueError("gc threshold must be at least 2")
-            self._gc_threshold = threshold
-        self._gc_enabled = enabled
-
-    def enable_auto_reorder(self, lower: int = 0, upper: Optional[int] = None,
-                            ratio: int = 4, min_nodes: int = 1 << 13,
-                            enabled: bool = True) -> None:
-        """Arm sifting-based reordering at :meth:`maybe_reorder` checkpoints.
-
-        ``lower``/``upper`` bound the level range sifted (the synthesis
-        engine constrains sifting to the select-variable block so the
-        input block stays on top — the :meth:`match_forall`
-        precondition).  Reordering runs when the live-node count has
-        grown ``ratio``-fold past the last reorder (or ``min_nodes``),
-        and only when the caller asks: in-flight apply loops hold level
-        numbers in their frames, so the trigger is a checkpoint call
-        between operations, never the allocator itself.
-        """
-        self._reorder_bounds = (lower, upper)
-        self._reorder_ratio = ratio
-        self._reorder_min = min_nodes
-        self._reorder_next = min_nodes
-        self._reorder_enabled = enabled
-
-    def maybe_reorder(self) -> bool:
-        """Sift now if armed and the store grew past the trigger point."""
-        if not self._reorder_enabled or self._live < self._reorder_next:
-            return False
-        from .reorder import sift
-        lower, upper = self._reorder_bounds
-        sift(self, lower=lower, upper=upper)
-        next_at = self._live * self._reorder_ratio
-        if next_at < self._reorder_min:
-            next_at = self._reorder_min
-        self._reorder_next = next_at
-        return True
-
     def maybe_gc(self, extra_roots: Sequence[int] = ()) -> int:
-        """Run :meth:`gc` if the store crossed the auto-GC threshold."""
-        if self._live >= self._gc_threshold:
+        """Run :meth:`gc` once the store holds :data:`GC_THRESHOLD` nodes.
+
+        Like :meth:`gc`, call it only between operations.
+        """
+        if self._live >= GC_THRESHOLD:
             return self.gc(extra_roots)
         return 0
 
     def gc(self, extra_roots: Sequence[int] = ()) -> int:
         """Mark-and-sweep collection; returns the number of nodes freed.
 
-        Roots are the protected references, ``extra_roots`` and a
-        conservative scan of in-flight operation stacks (every int is
-        treated as a potential edge — over-approximation only ever
-        retains more).  Dead nodes go on the free list, keeping all
-        surviving edge values unchanged; the unique table is rebuilt
-        and the computed caches invalidated.
-        Roots are collected here; with the kernel attached, the mark
-        and sweep from them run natively.
+        Must be called between operations, never from inside one: the
+        roots are the protected references and ``extra_roots`` only, so
+        an edge that is neither is reclaimed.  Dead nodes go on the free
+        list, keeping all surviving edge values unchanged; the unique
+        table is rebuilt and the computed caches invalidated.  With the
+        kernel attached, the mark and sweep run natively.
         """
         nvals = len(self._var)
         if self._live > self.peak_nodes:
@@ -1678,11 +1468,6 @@ class BddManager:
         _var = self._var
         stack: List[int] = [e >> 1 for e in self._refs]
         stack.extend(e >> 1 for e in extra_roots)
-        for lst in self._active_stacks:
-            for x in lst:
-                i = x >> 1
-                if 0 < i < nvals and _var[i] >= 0:
-                    stack.append(i)
         if self._klib is not None:
             freed = self._kernel_sweep(stack)
         else:
@@ -1713,10 +1498,6 @@ class BddManager:
         self._rebuild_utab()
         self._bump_gen()
         self._quant_cache.clear()
-        # Back off the auto-GC threshold when live data stays high, so
-        # the allocator does not thrash collections.
-        if self._gc_enabled and (self._live << 1) > self._gc_threshold:
-            self._gc_threshold = self._live << 1
         return freed
 
     def _kernel_sweep(self, roots: List[int]) -> int:
@@ -1767,9 +1548,7 @@ class BddManager:
                 self._ck3.__sizeof__() + self._cres.__sizeof__() +
                 sys.getsizeof(self._quant_cache) +
                 48 * len(self._quant_cache) +
-                sys.getsizeof(self._refs) +
-                self._level_of_var.__sizeof__() +
-                self._var_at_level.__sizeof__())
+                sys.getsizeof(self._refs))
 
     def stats(self) -> Dict[str, int]:
         """Instrumentation snapshot, in the ``docs/observability.md`` names.
@@ -1795,8 +1574,6 @@ class BddManager:
             "gc_runs": self.gc_runs,
             "gc_reclaimed": self.gc_reclaimed,
             "table_grows": self.table_grows,
-            "reorder_runs": self.reorder_runs,
-            "reorder_swaps": self.reorder_swaps,
             "bytes": self.bytes_used(),
         }
 
@@ -1824,7 +1601,7 @@ class BddManager:
             lo = self._lo[index]
             hi = self._hi[index]
             lo_comp = ",arrowhead=dot" if lo & 1 else ""
-            label = self._names[self._var_at_level[self._var[index]]]
+            label = self._names[self._var[index]]
             lines.append(f'  n{index} [label="{label}"];')
             lines.append(f"  n{index} -> n{lo >> 1} [style=dashed{lo_comp}];")
             lines.append(f"  n{index} -> n{hi >> 1};")

@@ -12,24 +12,23 @@ byte the same table layout as the pure-Python loops in
 tables — a cache entry written by either side hits in the other.
 
 **Cooperative pauses.**  The apply recursions never decide to grow a
-table or collect, and never call back into Python.  They allocate
-nodes only from the free list and decrement a caller-set allocation
-budget; when the budget hits zero, the free list empties, or the
-unique table reaches its load limit, the recursion unwinds returning
-``-1`` and the manager services the pause (fire the allocation tick,
-extend the columns, grow the table, collect) before re-invoking the
-same call.  Replays are cheap: everything computed before the pause is
-already in the computed cache.  This keeps every policy decision —
-deadlines, GC thresholds, reordering — in Python, where the rest of
-the repo can observe it.
+table, and never call back into Python.  They allocate nodes only from
+the free list and decrement a caller-set allocation budget; when the
+budget hits zero, the free list empties, or the unique table reaches
+its load limit, the recursion unwinds returning ``-1`` and the manager
+services the pause (fire the allocation tick, extend the columns, grow
+the table) before re-invoking the same call.  Nothing collects during a
+pause: ``BddManager.gc`` runs only between operations.  Replays are
+cheap: everything computed before the pause is already in the computed
+cache.  This keeps every policy decision — table growth, deadlines —
+in Python, where the rest of the repo can observe it.
 
 **Table upkeep.**  Servicing a pause is itself loop work, so the
 kernel also carries those loops, run only when Python asks:
 ``bdd_rehash`` (unique-table doubling), ``bdd_rebuild`` (re-insert the
-live nodes after GC or reordering), ``bdd_chain`` (thread
-freshly appended column slots into the free list) and ``bdd_sweep``
-(mark from a root list the manager collected, then free the unmarked
-nodes).  Each visits entries in the same order as its pure-Python
+live nodes after GC), ``bdd_chain`` (thread freshly appended column
+slots into the free list) and ``bdd_sweep`` (mark from a root list the
+manager collected, then free the unmarked nodes).  Each visits entries in the same order as its pure-Python
 counterpart in ``repro.bdd.manager``, so table bytes, free-list
 chains and counts come out identical either way.  ``bdd_chain`` has no
 such counterpart: only the kernel path pre-extends the free list; a

@@ -265,9 +265,9 @@ VOLATILE_METRIC_KEYS = frozenset({
 #: portfolio loser's partial counters depend on when the cancel landed.
 #: ``bdd.*`` counters and gauges describe *resource* trajectories
 #: (node counts, cache traffic, bytes) that legitimately shift with
-#: memory-management configuration — GC thresholds, dynamic
-#: reordering, the native kernel's pause cadence — while the computed
-#: answer stays fixed, so canonical comparison strips them too.
+#: the native kernel's pause cadence and with cache clears while the
+#: computed answer stays fixed, so canonical comparison strips them
+#: too.
 _VOLATILE_METRIC_PREFIXES = ("portfolio.", "bdd.")
 
 #: Exceptions to the prefix rule: metrics that *are* the computed
@@ -276,7 +276,7 @@ _VOLATILE_METRIC_PREFIXES = ("portfolio.", "bdd.")
 _CANONICAL_METRIC_KEYS = frozenset({"bdd.solutions"})
 
 #: Per-depth ``detail`` keys carrying the same resource volatility
-#: (live node and equality-BDD sizes vary under reordering).
+#: (live node and solution-BDD sizes).
 _VOLATILE_DETAIL_KEYS = frozenset({"nodes", "eq_size"})
 
 
@@ -294,8 +294,7 @@ def canonical_record(record: Dict) -> Dict:
     and scheduling/resource-volatile metrics are dropped — from the
     run totals and from every per-depth entry; the result serializes
     identically for identical computations — the parallel test-suite
-    and the CI ``parallel-smoke`` job rely on this, and the BDD
-    engine's reorder/GC modes rely on it to prove answer identity.
+    and the CI ``parallel-smoke`` job rely on this.
     """
     out = {k: v for k, v in record.items() if k not in VOLATILE_RECORD_FIELDS}
     metrics = record.get("metrics")

@@ -133,7 +133,7 @@ class CdclSolver:
     Decisions take the unassigned variable of highest activity, the
     smallest index on ties.  The decision heap holds every unassigned
     variable (plus assigned ones not yet popped) ordered that way; its
-    position array lets a bump sift a variable up in place and lets
+    position array lets a bump move a variable up in place and lets
     backtracking re-insert only the variables that are absent.
 
     ``use_kernel=None`` runs the search in the native kernel when it is
@@ -493,12 +493,15 @@ class CdclSolver:
 
         while True:
             assert reason is not None
-            reason.activity += cla_inc
-            if reason.activity > 1e20:
-                for c in self.learnts:
-                    c.activity *= 1e-20
-                self.cla_inc *= 1e-20
-                cla_inc = self.cla_inc
+            # Only learnt activity is ever read (_reduce_db), and only
+            # learnt clauses are rescaled, so only they are bumped.
+            if reason.learnt:
+                reason.activity += cla_inc
+                if reason.activity > 1e20:
+                    for c in self.learnts:
+                        c.activity *= 1e-20
+                    self.cla_inc *= 1e-20
+                    cla_inc = self.cla_inc
             for q in reason.literals:
                 # Skip the literal this clause asserted.
                 if q == resolved:

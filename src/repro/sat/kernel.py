@@ -124,6 +124,7 @@ SOURCE = r"""
 #define L_UNDEF 0
 
 /* Clause header words: size, info (flags | lbd << 3), activity (2). */
+#define C_LEARNT 1
 #define C_DELETED 2
 #define C_LOCKED 4
 #define C_HEAD 4
@@ -570,14 +571,18 @@ static int32_t analyze(Cdcl *s, int32_t conflict, int32_t *backjump)
     for (;;) {
         int32_t size = mem[ref];
         const int32_t *lits = mem + ref + C_HEAD;
-        double bumped = get_act(mem, ref) + s->cla_inc;
-        set_act(mem, ref, bumped);
-        if (bumped > 1e20) {
-            for (k = 0; k < s->n_learnts; k++) {
-                int32_t c = s->learnts[k];
-                set_act(mem, c, get_act(mem, c) * 1e-20);
+        /* Only learnt activity is ever read (reduce_db), and only
+         * learnt clauses are rescaled, so only they are bumped. */
+        if (mem[ref + 1] & C_LEARNT) {
+            double bumped = get_act(mem, ref) + s->cla_inc;
+            set_act(mem, ref, bumped);
+            if (bumped > 1e20) {
+                for (k = 0; k < s->n_learnts; k++) {
+                    int32_t c = s->learnts[k];
+                    set_act(mem, c, get_act(mem, c) * 1e-20);
+                }
+                s->cla_inc *= 1e-20;
             }
-            s->cla_inc *= 1e-20;
         }
         for (k = 0; k < size; k++) {
             int32_t q = lits[k], var = q >> 1;
@@ -871,7 +876,7 @@ int cdcl_run(Cdcl *s, int64_t conflict_limit)
                 int32_t ref = clause_new(s, s->minimized, n);
                 if (ref < 0)
                     return CDCL_NOMEM;
-                s->mem[ref + 1] |= clause_lbd << 3;
+                s->mem[ref + 1] |= C_LEARNT | clause_lbd << 3;
                 push(s, &s->learnts, &s->n_learnts, &s->learnts_cap, ref);
                 s->learnt_clauses++;
                 watch(s, s->minimized[0], ref);

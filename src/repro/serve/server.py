@@ -702,7 +702,7 @@ class SynthesisServer:
                          if name.startswith("serve.")}
         # Node-store pressure across every synthesis this daemon ran:
         # bdd.bytes / bdd.peak_nodes are gauges (process max), the
-        # gc/reorder figures accumulate — operators watch these to see
+        # gc figures accumulate — operators watch these to see
         # whether jobs are running against the memory ceiling.
         bdd_metrics = {name: value for name, value in snapshot.items()
                        if name.startswith("bdd.")}

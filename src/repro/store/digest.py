@@ -47,11 +47,8 @@ ORBIT_KEY_FORMAT = "repro-store-key-orbit-v1"
 #: Engine options that change how a run is *executed or observed* but
 #: never which minimal networks it finds; they are excluded from the
 #: store key so e.g. a cancelled-then-retried run still hits the entry
-#: its first attempt would have written.  The BDD engine's memory
-#: options (reordering, GC, cache bound) change node counts and run
-#: time, never answers.
-VOLATILE_OPTIONS = frozenset({"cancel_token", "reorder", "gc_threshold",
-                              "cache_limit"})
+#: its first attempt would have written.
+VOLATILE_OPTIONS = frozenset({"cancel_token"})
 
 
 def gate_payload(gate) -> List:

@@ -15,14 +15,15 @@ engine reports the exact solution count (``#SOL``) and the full
 quantum-cost range (``QC``) of Tables 2 and 3.
 
 The variable order is fixed to "X before Y" by creating the ``x``
-variables first and appending select variables per depth; the opposite
-order makes ``F_d`` enumerate every function realizable with ``d`` gates
-and blows up, which ablation A1 (EXPERIMENTS.md) measures with a Y-first
-builder of its own.
+variables first and appending select variables per depth, and the
+manager never reorders.  The opposite order makes ``F_d`` enumerate
+every function realizable with ``d`` gates and blows up, which ablation
+A1 (EXPERIMENTS.md) measures with a Y-first builder of its own.
 
-Between depths the engine reclaims every node its protected roots (the
-cascade frontier and the spec BDDs) no longer reach with
-:meth:`BddManager.gc`, which keeps those edges unchanged.
+Memory has one reclaim: after each decided depth the engine calls
+:meth:`BddManager.gc`, which frees every node its protected roots (the
+cascade frontier and the spec BDDs) no longer reach and keeps those
+edges unchanged.  Nothing collects inside a depth.
 """
 
 from __future__ import annotations
@@ -44,8 +45,14 @@ __all__ = ["DepthOutcome", "BddSynthesisEngine"]
 #: Cumulative :meth:`BddManager.stats` counters reported per depth as
 #: the difference across one :meth:`BddSynthesisEngine.decide`.
 _COUNTERS = ("ite_calls", "ite_cache_hits", "quant_calls",
-             "quant_cache_hits", "gc_runs", "gc_reclaimed", "table_grows",
-             "reorder_runs", "reorder_swaps")
+             "quant_cache_hits", "gc_runs", "gc_reclaimed", "table_grows")
+
+#: Operation-cache entries (:meth:`BddManager.cache_size`) past which
+#: the deadline check drops the caches.  The engine's own path stays
+#: under it (the flat cache holds at most 2**20 entries and the row fold
+#: fills no quantify cache); ``repro opsynth``, which quantifies with
+#: :meth:`BddManager.forall`, relies on it.
+CACHE_LIMIT = 1_500_000
 
 
 @dataclass
@@ -70,22 +77,21 @@ class DepthOutcome:
 class _Deadline:
     """Cooperative deadline, cancellation and memory guard for BDD loops.
 
-    Pure-Python BDD caches can grow into gigabytes on the hardest
-    instances (hwb4 at depth 11); dropping the operation caches once they
-    pass ``cache_limit`` entries trades some recomputation for bounded
-    memory.  The unique table (the nodes themselves) is never dropped, so
-    results are unaffected.  ``token`` is polled at the same cadence, so
-    a portfolio/suite coordinator can stop the engine mid-apply (raising
+    The quantify cache is a dict and can grow into gigabytes when a
+    caller quantifies with :meth:`BddManager.forall`; dropping the
+    operation caches once they pass :data:`CACHE_LIMIT` entries trades
+    some recomputation for bounded memory.  The unique table (the nodes
+    themselves) is never dropped, so results are unaffected.  ``token``
+    is polled at the same cadence, so a portfolio/suite coordinator can
+    stop the engine mid-apply (raising
     :class:`repro.core.cancel.CancelledError`, which the driver turns
     into a ``"cancelled"`` result rather than a timeout).
     """
 
     def __init__(self, limit: Optional[float], manager=None,
-                 cache_limit: int = 1_500_000,
                  token: Optional[CancelToken] = None):
         self._expiry = None if limit is None else time.perf_counter() + limit
         self._manager = manager
-        self._cache_limit = cache_limit
         self._token = as_token(token)
 
     def check(self) -> None:
@@ -93,7 +99,7 @@ class _Deadline:
         if self._expiry is not None and time.perf_counter() > self._expiry:
             raise TimeoutError("synthesis deadline exceeded")
         if (self._manager is not None
-                and self._manager.cache_size() > self._cache_limit):
+                and self._manager.cache_size() > CACHE_LIMIT):
             self._manager.clear_caches()
 
 
@@ -105,46 +111,18 @@ class BddSynthesisEngine:
     def __init__(self, spec: Specification, library: GateLibrary,
                  incremental: bool = True,
                  max_enumerate: int = 200_000,
-                 cache_limit: int = 1_500_000,
-                 reorder: bool = False,
-                 gc_threshold: int = 0,
                  cancel_token: Optional[CancelToken] = None):
-        """``cache_limit`` bounds the manager's *operation-cache* entry
-        count: once ``ite``/quantification caches together exceed it they
-        are dropped (the unique table never is, so answers are
-        unaffected).  The default suits a machine running one synthesis;
-        memory-bounded parallel workers — several engines racing in a
-        portfolio, or a wide :mod:`repro.parallel.scheduler` pool —
-        should shrink it via ``engine_options={"cache_limit": ...}`` so
-        the per-process peak stays within its share of RAM.
-
-        ``gc_threshold`` > 0 arms mark-and-sweep collection of dead
-        depth-frontier nodes at that live-node count, checked between
-        cascade stages; ``reorder`` truthy arms sifting-based dynamic
-        reordering of the select-variable block at the same checkpoints
-        (the input block stays on top — the :meth:`BddManager.match_forall`
-        precondition).  Passing an ``int`` sets the live-node count
-        that first triggers a sift (``True`` keeps the manager
-        default).  Both default off, and both change only
-        memory/runtime, never answers — reordering trades sift time
-        for node-store headroom, so it pays on memory-bound instances,
-        not fast small ones.
-
-        ``cancel_token`` is polled from the deadline/allocation tick; see
-        :mod:`repro.core.cancel`.
+        """``incremental`` extends one cascade across depths (``False``
+        rebuilds it per depth); ``max_enumerate`` caps the circuits
+        decoded per depth.  ``cancel_token`` is polled from the
+        deadline/allocation tick; see :mod:`repro.core.cancel`.
         """
         if library.n_lines != spec.n_lines:
             raise ValueError("library and specification widths differ")
-        if reorder and not incremental:
-            raise ValueError("dynamic reordering requires incremental=True "
-                             "(the monolithic ablation rebuilds per depth)")
         self.spec = spec
         self.library = library
         self.incremental = incremental
         self.max_enumerate = max_enumerate
-        self.cache_limit = cache_limit
-        self.reorder = reorder
-        self.gc_threshold = gc_threshold
         self.cancel_token = as_token(cancel_token)
         self.n = spec.n_lines
         self.width = library.select_bits()
@@ -161,26 +139,13 @@ class BddSynthesisEngine:
         self.built_depth = 0
         self._build_spec_bdds(self.manager, self.x_vars)
         self._protect_roots()
-        if self.gc_threshold:
-            self.manager.enable_auto_gc(threshold=self.gc_threshold,
-                                        enabled=False)
-        if self.reorder:
-            # Sift only the select block: match_forall requires every
-            # input variable above every select variable, so the X block
-            # is pinned at the top of the order.
-            if self.reorder is True:
-                self.manager.enable_auto_reorder(lower=self.n)
-            else:
-                self.manager.enable_auto_reorder(lower=self.n,
-                                                 min_nodes=int(self.reorder))
 
     def _protect_roots(self) -> None:
         """Register the engine's long-lived edges as external GC roots.
 
-        Protection is what lets :meth:`BddManager.gc` (and the sifting
-        session's reference counts) see the cascade frontier and the
-        spec BDDs as live; everything else allocated while building a
-        stage is reclaimable.
+        Protection is what lets :meth:`BddManager.gc` see the cascade
+        frontier and the spec BDDs as live; everything else allocated
+        while building a stage is reclaimable.
         """
         for edge in (*self.lines, *self.on_bdds, *self.dc_bdds):
             self.manager.protect(edge)
@@ -192,19 +157,6 @@ class BddSynthesisEngine:
         for edge in self.lines:
             self.manager.unprotect(edge)
         self.lines = new_lines
-
-    def _checkpoint(self) -> None:
-        """Between-stage service point: reclaim and/or reorder.
-
-        Only here — never from inside an apply — because the stage
-        builder holds intermediate edges in plain Python frames the
-        manager cannot see, and in-flight loops cache level numbers
-        that sifting would invalidate.
-        """
-        if self.gc_threshold:
-            self.manager.maybe_gc()
-        if self.reorder:
-            self.manager.maybe_reorder()
 
     def _build_spec_bdds(self, manager: BddManager, x_vars: Sequence[int]) -> None:
         """ON-set and don't-care-set BDDs per output line (Definition 4)."""
@@ -241,7 +193,6 @@ class BddSynthesisEngine:
                 tick=deadline.check,
             ))
             self.built_depth += 1
-            self._checkpoint()
 
     # -- monolithic (per-depth rebuild) state -------------------------------------
 
@@ -276,7 +227,6 @@ class BddSynthesisEngine:
         """
         deadline = _Deadline(time_limit,
                              manager=self.manager if self.incremental else None,
-                             cache_limit=self.cache_limit,
                              token=self.cancel_token)
         before = (self.manager.stats() if self.incremental
                   else dict.fromkeys(_COUNTERS, 0))
@@ -319,14 +269,6 @@ class BddSynthesisEngine:
                 self.manager.gc()
             return DepthOutcome(status="unsat", detail=detail, metrics=metrics)
 
-        if self.reorder:
-            # Model enumeration walks variables in sorted-id order, so
-            # sifting's select-block permutation must be undone first;
-            # the solutions edge survives the swaps unchanged (edge
-            # stability), it just needs to be a root while they run.
-            from repro.bdd.reorder import restore_block_order
-            with manager.protected(solutions):
-                restore_block_order(manager, lower=self.n)
         with obs.span("bdd.extract", depth=depth):
             outcome = self._extract(manager, y_vars, solutions, depth, detail,
                                     metrics)
@@ -366,8 +308,6 @@ class BddSynthesisEngine:
             "bdd.gc_runs": delta["gc_runs"],
             "bdd.gc_reclaimed": delta["gc_reclaimed"],
             "bdd.table_grows": delta["table_grows"],
-            "bdd.reorder_runs": delta["reorder_runs"],
-            "bdd.reorder_swaps": delta["reorder_swaps"],
         }
 
     # -- solution extraction -------------------------------------------------------------

@@ -76,6 +76,16 @@ class TestVariableOrderInvariants:
         assert manager.top_var(conj) == 0  # original variable stays on top
         assert manager.var_name(new) == "late"
 
+    def test_building_over_unknown_variables_raises(self):
+        # A node's level is its variable id, so an id outside the
+        # manager's variables is refused rather than built.
+        manager = BddManager(2)
+        for variables in ([0, 2], [-1, 0]):
+            with pytest.raises(ValueError):
+                manager.from_minterms(variables, [1])
+        with pytest.raises(ValueError):
+            manager.minterm({2: True})
+
 
 class TestGcEdgeCases:
     def test_gc_with_terminal_roots(self):

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import repro.bdd.manager as manager_module
 from repro.bdd.manager import FALSE, TRUE, BddManager
 
 
@@ -90,32 +91,17 @@ class TestGcUnderLoad:
         assert script(BddManager(self.N), True) \
             == script(BddManager(self.N), False)
 
-    def test_auto_gc_fires_from_allocator_with_protected_roots(self):
-        rng = random.Random(3)
+    def test_maybe_gc_respects_threshold_without_arming_allocator(
+            self, monkeypatch):
+        # maybe_gc collects only at GC_THRESHOLD live nodes, and only
+        # when called: the allocator itself never collects.
         manager = BddManager(self.N)
-        node, minterms = _random_function(manager, rng)
-        manager.protect(node)
-        manager.enable_auto_gc(threshold=400)
-        peak_cap = 0
-        for _ in range(60):
-            garbage, _ = _random_function(manager, rng)
-            manager.xor(garbage, node)
-            peak_cap = max(peak_cap, manager.node_count())
-        assert manager.stats()["gc_runs"] > 0
-        assert manager.stats()["gc_reclaimed"] > 0
-        # The threshold bounds the store (slack: one operation's growth).
-        assert peak_cap < 4000
-        _assert_denotes(manager, node, self.N, minterms)
-
-    def test_maybe_gc_respects_threshold_without_arming_allocator(self):
-        manager = BddManager(self.N)
-        manager.enable_auto_gc(threshold=1 << 20, enabled=False)
-        assert not manager._gc_enabled
         f = manager.conj(manager.var(i) for i in range(self.N))
+        manager.xor(f, manager.var(0))  # garbage
         with manager.protected(f):
             assert manager.maybe_gc() == 0  # under threshold: no sweep
-        manager.enable_auto_gc(threshold=2, enabled=False)
-        manager.xor(f, manager.var(0))  # garbage
+        assert manager.stats()["gc_runs"] == 0
+        monkeypatch.setattr(manager_module, "GC_THRESHOLD", 2)
         with manager.protected(f):
             assert manager.maybe_gc() > 0  # over threshold: sweeps
 

@@ -148,7 +148,7 @@ class TestMatchForall:
             for l in range(n))
         return manager.forall(equality, range(n))
 
-    def _check(self, n, dont_cares, use_kernel, sifted, seed):
+    def _check(self, n, dont_cares, use_kernel, seed):
         from repro.bdd.tables import kernel_available
         if use_kernel and not kernel_available():
             pytest.skip("native kernel unavailable")
@@ -158,13 +158,6 @@ class TestMatchForall:
             manager = BddManager(n + self.M, use_kernel=use_kernel)
             outputs, on, dc, planted = self._instance(
                 manager, rng, n, dont_cares)
-            if sifted:
-                from repro.bdd.reorder import sift
-                for edge in (*outputs, *on, *dc):
-                    manager.protect(edge)
-                sift(manager, lower=n)
-                assert [manager._var_at_level[k] for k in range(n)] \
-                    == list(range(n))
             got = manager.match_forall(outputs, on, dc, n)
             assert got == self._two_step(manager, outputs, on, dc, n)
             if planted is not None:
@@ -176,11 +169,7 @@ class TestMatchForall:
     @pytest.mark.parametrize("dont_cares", [False, True])
     @pytest.mark.parametrize("use_kernel", [None, False])
     def test_equals_two_step_route(self, n, dont_cares, use_kernel):
-        self._check(n, dont_cares, use_kernel, sifted=False, seed=n * 7)
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_equals_two_step_route_after_sifting(self, n):
-        self._check(n, True, None, sifted=True, seed=n * 11)
+        self._check(n, dont_cares, use_kernel, seed=n * 7)
 
     def test_true_dont_care_lines_are_skipped(self):
         # Lines whose cover is the constant TRUE constrain nothing, and

@@ -150,8 +150,7 @@ class TestFullTier:
         assert result.depth == 7  # the paper reports D = 7 for mod5d1
 
     def test_hwb4_depth_11(self):
-        result = synthesize(get_spec("hwb4"), engine="bdd", time_limit=1800,
-                            cache_limit=1_500_000)
+        result = synthesize(get_spec("hwb4"), engine="bdd", time_limit=1800)
         assert result.depth == 11  # the paper's hardest reported instance
         assert result.num_solutions == 264
         assert result.quantum_cost_min == 23

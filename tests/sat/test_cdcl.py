@@ -320,6 +320,15 @@ class TestNativeSearch:
         assert search_figures(native.solve()) == search_figures(pure.solve())
         assert native._native.var_inc == pure.var_inc < 1e98
         assert native._native.cla_inc == pure.cla_inc < 1e19
+        # Only learnt clauses are bumped: a problem clause never crosses
+        # the threshold and rescales again on every later bump, which
+        # would decay the increment to 0.
+        assert pure.cla_inc > 0
+        assert [c.activity for c in pure.clauses] == [0.0] * len(pure.clauses)
+        state, ffi = native._native, native._ffi
+        problem = [ffi.cast("double *", state.mem + state.clauses[i] + 2)[0]
+                   for i in range(state.n_clauses)]
+        assert problem == [0.0] * len(pure.clauses)
 
     def test_learnt_database_reduction_matches_python(self):
         native, pure = solver_pair(pigeonhole(7))

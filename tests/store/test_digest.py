@@ -61,15 +61,6 @@ def test_volatile_options_do_not_change_the_key():
     noisy = store_key(_spec(), _lib(), "sat",
                       engine_options={"cancel_token": object()})
     assert noisy == base
-    # The BDD engine's memory options change node counts, not answers.
-    bdd = store_key(_spec(), _lib(), "bdd")
-    for options in ({"reorder": 512}, {"reorder": True},
-                    {"gc_threshold": 1000}, {"cache_limit": 10_000},
-                    {"reorder": 512, "gc_threshold": 1000,
-                     "cache_limit": 10_000}):
-        assert set(options) <= VOLATILE_OPTIONS
-        assert store_key(_spec(), _lib(), "bdd",
-                         engine_options=options) == bdd, options
 
 
 def test_engine_instance_is_rejected():

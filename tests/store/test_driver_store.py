@@ -70,22 +70,6 @@ def test_hit_record_is_byte_identical_to_cold_record(tmp_path):
     assert _canonical_bytes(warm_rec) == _canonical_bytes(cold_rec)
 
 
-def test_bdd_memory_options_hit_the_default_runs_entry(tmp_path):
-    """``reorder`` changes node counts, never answers: a run with it
-    reuses the entry a default run committed."""
-    root = str(tmp_path / "store")
-    t_cold = str(tmp_path / "cold.jsonl")
-    t_warm = str(tmp_path / "warm.jsonl")
-    spec = get_spec("3_17")
-    synthesize(spec, engine="bdd", store=root, trace=t_cold)
-    warm = synthesize(spec, engine="bdd", store=root, trace=t_warm,
-                      reorder=512)
-    assert warm.store_hit
-    (cold_rec,), _ = obs.read_trace(t_cold)
-    (warm_rec,), _ = obs.read_trace(t_warm)
-    assert _canonical_bytes(warm_rec) == _canonical_bytes(cold_rec)
-
-
 def test_cold_record_is_identical_with_and_without_store(tmp_path):
     """Attaching a store must not leak into the canonical record."""
     t_bare = str(tmp_path / "bare.jsonl")

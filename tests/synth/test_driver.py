@@ -2,10 +2,13 @@
 
 import pytest
 
+import repro.synth.bdd_engine as bdd_engine
+from repro.bdd.manager import BddManager
 from repro.core.library import GateLibrary
 from repro.core.spec import Specification
 from repro.synth import synthesize
 from repro.synth.driver import default_gate_limit
+from repro.synth.output_permutation import synthesize_with_output_permutation
 from repro.synth.result import SynthesisResult
 
 
@@ -82,11 +85,39 @@ def test_engine_instance_conflicting_kinds_rejected():
         synthesize(spec, kinds=("mct", "mcf"), engine=engine)
 
 
-def test_bdd_cache_limit_option():
-    # cache_limit is a documented BddSynthesisEngine knob; a tiny cap
-    # must still synthesize correctly, just with more recomputation.
-    result = synthesize(cnot_spec(), engine="bdd", cache_limit=64)
-    assert result.realized and result.depth == 1
+def test_bdd_cache_limit_clears_caches_not_answers(monkeypatch):
+    # The deadline check drops the BDD operation caches past
+    # CACHE_LIMIT entries.  A tiny limit makes it fire on the engine's
+    # path and on the forall path of output-permutation synthesis; the
+    # unique table is kept, so every answer stays the same.
+    spec = Specification.from_permutation((7, 1, 4, 3, 0, 2, 6, 5),
+                                          name="3_17")
+    default = synthesize(spec, engine="bdd")
+    permuted = synthesize_with_output_permutation(spec)
+    clears = []
+    clear_caches = BddManager.clear_caches
+
+    def counting_clear(manager):
+        clears.append(manager)
+        clear_caches(manager)
+
+    monkeypatch.setattr(bdd_engine, "CACHE_LIMIT", 64)
+    monkeypatch.setattr(BddManager, "clear_caches", counting_clear)
+    small = synthesize(spec, engine="bdd")
+    assert small.metrics["bdd.cache_clears"] > 0
+    assert default.metrics["bdd.cache_clears"] == 0
+    assert (small.depth, small.num_solutions, small.quantum_cost_min,
+            small.quantum_cost_max) \
+        == (default.depth, default.num_solutions, default.quantum_cost_min,
+            default.quantum_cost_max)
+    assert [str(c) for c in small.circuits] \
+        == [str(c) for c in default.circuits]
+    del clears[:]
+    permuted_small = synthesize_with_output_permutation(spec)
+    assert clears
+    assert permuted.realized
+    assert (permuted_small.depth, permuted_small.realizations) \
+        == (permuted.depth, permuted.realizations)
 
 
 def test_engine_options_forwarded():

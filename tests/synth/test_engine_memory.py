@@ -1,23 +1,18 @@
-"""Driver-level memory management: GC and reordering change resources,
-never answers.
+"""The BDD engine's memory accounting: one reclaim, reported per depth.
 
-The acceptance bar for the packed-table core's memory machinery is
-*canonical-record identity*: a run with GC and/or dynamic reordering on
-must produce the same canonical record — depth, #SOL, circuits, QC
-range, per-depth verdicts — as the default run, byte for byte.  The
-``bdd.*`` resource metrics (node counts, gc/reorder counters, store
-bytes) are exactly the figures those knobs exist to move, so the
-canonical projection strips them; ``bdd.solutions`` is an answer and
-stays.
+The engine reclaims with ``BddManager.gc`` after every decided depth and
+nowhere else.  The ``bdd.*`` resource metrics (node counts, gc
+counters, store bytes) reach the run record but are stripped from its
+canonical projection; ``bdd.solutions`` is an answer and stays.  With
+the native kernel on and off the tables, and so the per-depth figures,
+are the same.
 """
-
-import json
 
 import pytest
 
 import repro.obs as obs
+from repro.core.library import GateLibrary
 from repro.functions import get_spec
-from repro.parallel import SynthesisTask, run_suite
 from repro.synth import synthesize
 from repro.bdd.manager import BddManager
 from repro.bdd.tables import kernel_available
@@ -25,97 +20,26 @@ import repro.synth.bdd_engine as bdd_engine
 from repro.synth.bdd_engine import BddSynthesisEngine
 
 
-def _canonical(result):
-    return json.dumps(obs.canonical_record(obs.build_run_record(result)),
-                      sort_keys=True)
-
-
-#: Triggers small enough that a 3_17 run actually collects and sifts
-#: (asserted below), large enough to keep the test fast.
-MEMORY_OPTIONS = {"reorder": 512, "gc_threshold": 2000}
-
-
-class TestCanonicalIdentity:
-    def test_gc_on_off_records_identical(self):
-        spec = get_spec("3_17")
-        default = synthesize(spec, engine="bdd")
-        collected = synthesize(spec, engine="bdd", gc_threshold=2000)
-        assert collected.metrics["bdd.gc_runs"] > 0
-        assert collected.metrics["bdd.gc_reclaimed"] > 0
-        assert _canonical(collected) == _canonical(default)
-
-    def test_reorder_on_off_records_identical(self):
-        spec = get_spec("3_17")
-        default = synthesize(spec, engine="bdd")
-        managed = synthesize(spec, engine="bdd", **MEMORY_OPTIONS)
-        assert managed.metrics["bdd.reorder_runs"] > 0
-        assert managed.metrics["bdd.reorder_swaps"] > 0
-        assert _canonical(managed) == _canonical(default)
-        # The knobs' entire effect lives in the stripped resource
-        # metrics; the raw records do differ there.
-        assert managed.metrics["bdd.peak_nodes"] \
-            != default.metrics["bdd.peak_nodes"] \
-            or managed.metrics["bdd.gc_runs"] > 0
-
-    def test_serial_vs_parallel_identical_with_reordering(self):
-        # The headline acceptance criterion: canonical records stay
-        # byte-identical across the process boundary with reordering
-        # (and GC) enabled in every worker.
-        names = ["3_17", "decod24-v0"]
-        tasks = lambda: [SynthesisTask(spec=get_spec(name), engine="bdd",
-                                       time_limit=60,
-                                       engine_options=dict(MEMORY_OPTIONS))
-                         for name in names]
-        serial = run_suite(tasks(), workers=1)
-        parallel = run_suite(tasks(), workers=2)
-        for ser, par in zip(serial.reports, parallel.reports):
-            assert ser.ok and par.ok
-            assert obs.canonical_record(ser.record) \
-                == obs.canonical_record(par.record)
-
-
 class TestEngineOptions:
-    def test_reorder_requires_incremental(self):
-        spec = get_spec("3_17")
-        from repro.core.library import GateLibrary
-        with pytest.raises(ValueError):
-            BddSynthesisEngine(spec, GateLibrary.mct(3),
-                               incremental=False, reorder=True)
-
     def test_defaults_leave_memory_machinery_off(self):
         spec = get_spec("3_17")
-        from repro.core.library import GateLibrary
         engine = BddSynthesisEngine(spec, GateLibrary.mct(3))
-        assert engine.manager._gc_enabled is False
-        assert engine.manager._reorder_enabled is False
         for depth in range(7):
             outcome = engine.decide(depth)
         assert outcome.status == "sat"
         # One collection per decided depth (the between-depth reclaim),
-        # none at the stage checkpoints.
+        # none inside a depth.
         assert engine.manager.stats()["gc_runs"] == 7
-        assert engine.manager.stats()["reorder_runs"] == 0
-
-    def test_int_reorder_sets_the_sift_trigger(self):
-        spec = get_spec("3_17")
-        from repro.core.library import GateLibrary
-        engine = BddSynthesisEngine(spec, GateLibrary.mct(3), reorder=512)
-        assert engine.manager._reorder_enabled is True
-        assert engine.manager._reorder_min == 512
-        # The X block stays pinned on top (match_forall precondition).
-        assert engine.manager._reorder_bounds[0] == engine.n
 
 
 class TestMemoryMetrics:
     def test_bdd_bytes_and_counters_reach_the_record(self):
-        result = synthesize(get_spec("3_17"), engine="bdd",
-                            gc_threshold=2000)
+        result = synthesize(get_spec("3_17"), engine="bdd")
         record = obs.build_run_record(result)
         assert obs.validate_run_record(record) == []
         metrics = record["metrics"]
         assert metrics["bdd.bytes"] > 0
-        for key in ("bdd.gc_runs", "bdd.gc_reclaimed", "bdd.table_grows",
-                    "bdd.reorder_runs", "bdd.reorder_swaps"):
+        for key in ("bdd.gc_runs", "bdd.gc_reclaimed", "bdd.table_grows"):
             assert key in metrics
         # Stripped from the canonical projection (resource figures)...
         canonical = obs.canonical_record(record)
@@ -125,17 +49,6 @@ class TestMemoryMetrics:
         # ...except the one answer metric.
         assert canonical["metrics"]["bdd.solutions"] \
             == result.num_solutions
-
-    def test_gc_lowers_peak_nodes(self):
-        spec = get_spec("mod5d1_s")
-        default = synthesize(spec, engine="bdd")
-        collected = synthesize(spec, engine="bdd", gc_threshold=5000)
-        assert collected.metrics["bdd.gc_runs"] > 0
-        assert collected.metrics["bdd.peak_nodes"] \
-            < default.metrics["bdd.peak_nodes"]
-        assert collected.num_solutions == default.num_solutions
-        assert sorted(str(c) for c in collected.circuits) \
-            == sorted(str(c) for c in default.circuits)
 
 
 @pytest.mark.skipif(not kernel_available(), reason="native kernel unavailable")
@@ -163,9 +76,7 @@ class TestKernelParity:
                 for d in result.per_depth]
 
     @pytest.mark.parametrize("name, options", [
-        ("3_17", {}), ("mod5d1_s", {}),
-        # Checkpoint GC: the native sweep inside the engine.
-        ("3_17", {"gc_threshold": 2000})])
+        ("3_17", {}), ("mod5d1_s", {})])
     def test_kernel_on_off_identical(self, name, options, monkeypatch):
         spec = get_spec(name)
         native = synthesize(spec, engine="bdd", **options)
@@ -181,9 +92,6 @@ class TestKernelParity:
         for ours, theirs in zip(native.per_depth, pure.per_depth):
             assert ours.metrics["bdd.ite_calls"] \
                 >= theirs.metrics["bdd.ite_calls"]
-        if options:
-            assert native.metrics["bdd.gc_reclaimed"] \
-                == pure.metrics["bdd.gc_reclaimed"] > 0
-        elif name == "3_17":
+        if name == "3_17":
             assert [d.metrics["bdd.ite_calls"] for d in native.per_depth] \
                 == self.KERNEL_ITE_CALLS_3_17
